@@ -105,6 +105,7 @@ from .measures import (
     MomentSet,
     SpectralDecomposition,
     bures_distance,
+    bures_distance_eig,
     chaotic_reference,
     fano,
     linear_entropy_and_purity,
@@ -112,8 +113,10 @@ from .measures import (
     moments,
     photon_distribution,
     relative_entropy,
+    relative_entropy_eig,
     spectral_decomposition,
     squeezing,
+    target_eigenpairs,
     von_neumann_entropy,
 )
 from .quasidist import (

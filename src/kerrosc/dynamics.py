@@ -5,11 +5,13 @@ The full quantum evolution integrates the zero-temperature master equation
     d rho / dt = -i [H, rho] + gamma0 (2 a rho a^dag - a^dag a rho - rho a^dag a),
     H = i (p a^dag - p* a) + G a^dag^2 a^2,
 
-with an adaptive embedded Dormand-Prince 5(4) stepper on the dense truncated
-matrix, hermitizing and renormalizing after every accepted step.  Alongside it
-live the closed-form maps used as oracles and cheap approximations: the
-lossless Kerr phase map, the linear-damping amplitude, the classical amplitude
-ODE and the linearized noise-moment ODEs.
+with an adaptive embedded Dormand-Prince 5(4) stepper on the truncated density
+matrix, hermitizing and renormalizing after every accepted step.  H is
+tridiagonal and a bidiagonal in the Fock basis, so the right-hand side is built
+from elementwise products and shifted slices of rho, never from dense matrix
+products.  Alongside it live the closed-form maps used as oracles and cheap
+approximations: the lossless Kerr phase map, the linear-damping amplitude, the
+classical amplitude ODE and the linearized noise-moment ODEs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .fock import (
     FockCutoff,
     OscillatorParams,
     StateVector,
-    annihilation_matrix,
     tail_mass,
 )
 from .gaussian import linearized_coeffs
@@ -42,7 +43,7 @@ _DP_A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
 )
 # difference between the 5th- and the embedded 4th-order weights
-_DP_ERR = (
+_DP_ERR = np.array((
     71.0 / 57600.0,
     0.0,
     -71.0 / 16695.0,
@@ -50,7 +51,9 @@ _DP_ERR = (
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
-)
+))
+# _DP_A as a square array: row i holds the stage-i weights, zero-padded
+_DP_A_MAT = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +144,16 @@ def _adaptive_rk(
     """
     span = t1 - t0
     h_min = 1e-14 * max(1.0, abs(t1))
-    k = [None] * 7
-    k[0] = f(y)
+    k0 = f(y)
+    # the seven stage derivatives, flattened so each stage input and the
+    # error vector are one weighted sum over the leading axis
+    k = np.empty((7,) + k0.shape, dtype=np.result_type(y, k0))
+    k[0] = k0
+    k_flat = k.reshape(7, -1)
     if h_init is None:
         sc = atol + rtol * np.abs(y)
         d0 = math.sqrt(float(np.mean(np.abs(y / sc) ** 2)))
-        d1 = math.sqrt(float(np.mean(np.abs(k[0] / sc) ** 2)))
+        d1 = math.sqrt(float(np.mean(np.abs(k0 / sc) ** 2)))
         if d0 > 1e-300 and d1 > 1e-300:
             h = 0.01 * d0 / d1
         elif d1 <= 1e-300:
@@ -165,13 +172,16 @@ def _adaptive_rk(
         h = min(h, t1 - t)
         if h < h_min:
             raise StepSizeUnderflow(f"step size {h:.3e} underflow at t = {t:.6g}")
+        # cast once so the stage products run in the state's own dtype
+        ha = (h * _DP_A_MAT).astype(k.dtype)
         for i in range(1, 7):
-            yi = y + h * sum(aij * k[j] for j, aij in enumerate(_DP_A[i]) if aij != 0.0)
+            yi = y + (ha[i, :i] @ k_flat[:i]).reshape(y.shape)
             k[i] = f(yi)
         y_new = yi  # stage 7 input is the 5th-order solution
-        err_vec = h * sum(ej * k[j] for j, ej in enumerate(_DP_ERR) if ej != 0.0)
+        err_vec = ((h * _DP_ERR).astype(k.dtype) @ k_flat).reshape(y.shape)
         sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean(np.abs(err_vec / sc) ** 2)))
+        scaled = np.abs(err_vec) / sc
+        err = math.sqrt(float(np.vdot(scaled, scaled)) / scaled.size)  # RMS
         if err <= 1.0:
             t += h
             y = y_new
@@ -189,21 +199,41 @@ def _adaptive_rk(
 def liouvillian_generator(
     params: OscillatorParams, dim: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side r -> d rho/dt for the master equation at this dimension."""
-    cutoff = FockCutoff(dim - 1)
-    a = annihilation_matrix(cutoff)
-    ad = a.conj().T
-    n_diag = np.arange(dim, dtype=float)
-    h_mat = 1j * (params.pump * ad - np.conj(params.pump) * a)
-    h_mat += np.diag(params.kerr * n_diag * (n_diag - 1.0)).astype(complex)
-    loss = params.loss
+    """Right-hand side r -> d rho/dt for the master equation at this dimension.
+
+    With H tridiagonal and a bidiagonal, each entry couples only to its
+    neighbours:
+
+        d rho_mn/dt = {-iG[m(m-1) - n(n-1)] - gamma0 (m + n)} rho_mn
+                      + p sqrt(m) rho_{m-1,n} - p* sqrt(m+1) rho_{m+1,n}
+                      - p sqrt(n+1) rho_{m,n+1} + p* sqrt(n) rho_{m,n-1}
+                      + 2 gamma0 sqrt((m+1)(n+1)) rho_{m+1,n+1},
+
+    where terms reaching past the truncation edge are dropped, exactly as in
+    the truncated-matrix products -i[H, rho] + gamma0(2 a rho a^dag - ...).
+    """
+    FockCutoff(dim - 1)  # rejects dim < 2 like every other basis constructor
+    levels = np.arange(dim, dtype=float)
+    kerr_energy = levels * (levels - 1.0)
+    diag = -1j * params.kerr * (
+        kerr_energy[:, None] - kerr_energy[None, :]
+    ) - params.loss * (levels[:, None] + levels[None, :])
+    root = np.sqrt(levels[1:])
+    pump = params.pump
+    row_from_above = (pump * root)[:, None]  # p sqrt(m) on rho_{m-1,n}
+    row_from_below = (-np.conj(pump) * root)[:, None]  # -p* sqrt(m+1) on rho_{m+1,n}
+    col_from_right = -pump * root  # -p sqrt(n+1) on rho_{m,n+1}
+    col_from_left = np.conj(pump) * root  # p* sqrt(n) on rho_{m,n-1}
+    # complex like the other bands, so no product casts on every call
+    jump = (2.0 * params.loss * np.outer(root, root)).astype(complex)
 
     def rhs(r: np.ndarray) -> np.ndarray:
-        out = -1j * (h_mat @ r - r @ h_mat)
-        if loss != 0.0:
-            out += loss * (
-                2.0 * (a @ r @ ad) - n_diag[:, None] * r - r * n_diag[None, :]
-            )
+        out = diag * r
+        out[1:] += row_from_above * r[:-1]
+        out[:-1] += row_from_below * r[1:]
+        out[:, :-1] += col_from_right * r[:, 1:]
+        out[:, 1:] += col_from_left * r[:, :-1]
+        out[:-1, :-1] += jump * r[1:, 1:]
         return out
 
     return rhs

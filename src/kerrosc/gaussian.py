@@ -25,11 +25,9 @@ from .errors import (
 )
 from .fock import FockCutoff, OscillatorParams
 from .measures import (
-    fano,
     linear_entropy_and_purity,
     moments,
     spectral_decomposition,
-    squeezing,
     von_neumann_entropy,
 )
 from .steady import steady_density
@@ -272,9 +270,10 @@ def gaussian_vs_exact_report(
     rho = steady_density(params, cutoff)
     e_exact = von_neumann_entropy(rho)
     l_exact, _ = linear_entropy_and_purity(rho)
-    s_exact = squeezing(rho)
-    f_exact = fano(rho)
-    n_exact = moments(rho).mean_n
+    mom = moments(rho)
+    s_exact = mom.squeezing()
+    f_exact = mom.fano()
+    n_exact = mom.mean_n
     w_exact = spectral_decomposition(rho).weights
 
     alpha = classical_steady_amplitude(params)

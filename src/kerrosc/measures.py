@@ -20,7 +20,7 @@ from .errors import (
     SupportMismatch,
     VacuumLimitWarning,
 )
-from .fock import DensityMatrix, StateVector, annihilation_matrix, FockCutoff
+from .fock import DensityMatrix, StateVector
 
 _LOG_FLOOR = 1e-12  # eigenvalue floor for logarithms in E and D_KL
 
@@ -50,6 +50,28 @@ class MomentSet:
         if self.B < -1e-12:
             raise ValueError(f"B = {self.B} below -1e-12")
 
+    def fano(self) -> float:
+        """Fano factor (<n^2> - <n>^2)/<n>; 1 is Poissonian, < 1 sub-Poissonian.
+
+        At the vacuum the ratio is taken in the limit sense and the
+        conventional value 1 is returned with a `VacuumLimitWarning`.
+        """
+        if self.mean_n < 1e-12:
+            warnings.warn(
+                "Fano factor at vacuum: returning limit value 1", VacuumLimitWarning
+            )
+            return 1.0
+        return (self.mean_n2 - self.mean_n**2) / self.mean_n
+
+    def squeezing(self) -> float:
+        """Minimum over theta of Var(a e^{-i theta} + a^dag e^{i theta}).
+
+        The variance is 1 + 2B + 2|C| cos(2 theta + arg C), so the minimum is
+        reached analytically at S = 1 + 2(B - |C|); values below 1 certify
+        quadrature squeezing.
+        """
+        return 1.0 + 2.0 * (self.B - abs(self.C))
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
@@ -71,16 +93,19 @@ class SpectralDecomposition:
 
 
 def moments(rho: DensityMatrix) -> MomentSet:
-    """Trace moments against the truncated a, a^dag a, (a^dag a)^2, a^2."""
+    """Trace moments against the truncated a, a^dag a, (a^dag a)^2, a^2.
+
+    a is bidiagonal, so Tr(rho a) and Tr(rho a^2) read only the first and
+    second subdiagonals: <a> = sum_n sqrt(n) rho_{n,n-1} and
+    <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2}.
+    """
     el = rho.elements
-    dim = rho.dim
-    a = annihilation_matrix(FockCutoff(dim - 1))
-    n_diag = np.arange(dim, dtype=float)
+    n_diag = np.arange(rho.dim, dtype=float)
     diag = el.diagonal().real
-    mean_a = complex(np.trace(el @ a))
+    mean_a = complex(np.sum(np.sqrt(n_diag[1:]) * el.diagonal(-1)))
     mean_n = float(np.sum(n_diag * diag))
     mean_n2 = float(np.sum(n_diag**2 * diag))
-    mean_a2 = complex(np.trace(el @ a @ a))
+    mean_a2 = complex(np.sum(np.sqrt(n_diag[2:] * n_diag[1:-1]) * el.diagonal(-2)))
     B = mean_n - abs(mean_a) ** 2
     if -1e-10 < B < 0.0:  # round-off; B >= 0 for any physical state
         B = 0.0
@@ -95,27 +120,13 @@ def moments(rho: DensityMatrix) -> MomentSet:
 
 
 def fano(rho: DensityMatrix) -> float:
-    """Fano factor (<n^2> - <n>^2)/<n>; 1 is Poissonian, < 1 sub-Poissonian.
-
-    At the vacuum the ratio is taken in the limit sense and the conventional
-    value 1 is returned with a `VacuumLimitWarning`.
-    """
-    m = moments(rho)
-    if m.mean_n < 1e-12:
-        warnings.warn("Fano factor at vacuum: returning limit value 1", VacuumLimitWarning)
-        return 1.0
-    return (m.mean_n2 - m.mean_n**2) / m.mean_n
+    """Fano factor of rho; see `MomentSet.fano` (warns at the vacuum)."""
+    return moments(rho).fano()
 
 
 def squeezing(rho: DensityMatrix) -> float:
-    """Minimum over theta of Var(a e^{-i theta} + a^dag e^{i theta}).
-
-    The variance is 1 + 2B + 2|C| cos(2 theta + arg C), so the minimum is
-    reached analytically at S = 1 + 2(B - |C|); values below 1 certify
-    quadrature squeezing.
-    """
-    m = moments(rho)
-    return 1.0 + 2.0 * (m.B - abs(m.C))
+    """Minimum quadrature variance S of rho; see `MomentSet.squeezing`."""
+    return moments(rho).squeezing()
 
 
 def photon_distribution(rho: DensityMatrix) -> np.ndarray:
@@ -195,10 +206,16 @@ def max_linear_entropy_bound(mean_n: float) -> tuple[float, np.ndarray]:
     return l_max, np.clip(weights, 0.0, None)
 
 
-def _psd_sqrt(el: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(el)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+def target_eigenpairs(sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of sigma, as `np.linalg.eigh` gives.
+
+    Decompose a fixed target once and pass the pair to `bures_distance_eig`
+    and `relative_entropy_eig` for every state compared against it.
+    """
+    try:
+        return np.linalg.eigh(sigma.elements)
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverFailure(str(exc)) from exc
 
 
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -209,9 +226,19 @@ def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
+    return bures_distance_eig(rho, target_eigenpairs(sigma))
+
+
+def bures_distance_eig(
+    rho: DensityMatrix, sigma_eig: tuple[np.ndarray, np.ndarray]
+) -> float:
+    """`bures_distance` against the sigma decomposed by `target_eigenpairs`."""
+    sw, sv = sigma_eig
+    if rho.dim != sw.shape[0]:
+        raise DimensionMismatch(f"dims {rho.dim} != {sw.shape[0]}")
+    s_root = (sv * np.sqrt(np.clip(sw, 0.0, None))) @ sv.conj().T
+    inner = s_root @ rho.elements @ s_root
     try:
-        s_root = _psd_sqrt(sigma.elements)
-        inner = s_root @ rho.elements @ s_root
         w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
@@ -228,8 +255,17 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
+    return relative_entropy_eig(rho, target_eigenpairs(sigma))
+
+
+def relative_entropy_eig(
+    rho: DensityMatrix, sigma_eig: tuple[np.ndarray, np.ndarray]
+) -> float:
+    """`relative_entropy` against the sigma decomposed by `target_eigenpairs`."""
+    sw, sv = sigma_eig
+    if rho.dim != sw.shape[0]:
+        raise DimensionMismatch(f"dims {rho.dim} != {sw.shape[0]}")
     try:
-        sw, sv = np.linalg.eigh(sigma.elements)
         rw = np.linalg.eigvalsh(rho.elements)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc

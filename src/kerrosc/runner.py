@@ -69,13 +69,13 @@ from .gaussian import (
     strong_pump_estimates,
 )
 from .measures import (
-    bures_distance,
-    fano,
+    bures_distance_eig,
     linear_entropy_and_purity,
     moments,
-    relative_entropy,
+    relative_entropy_eig,
     spectral_decomposition,
     squeezing,
+    target_eigenpairs,
     von_neumann_entropy,
 )
 from .quasidist import QuasiGrid, quasidistribution
@@ -271,8 +271,8 @@ def _timeseries_rows(traj: Trajectory) -> list[list]:
                 entropy,
                 lin,
                 purity,
-                fano(state),
-                squeezing(state),
+                mom.fano(),
+                mom.squeezing(),
                 diag.trace_error,
                 diag.tail_mass,
                 float(diag.steps),
@@ -329,8 +329,8 @@ def steady_table(
         ["mean_n", mom.mean_n, abs(alpha) ** 2 + gs.B, None],
         ["entropy", entropy, e_gauss, crude.entropy],
         ["linear_entropy", lin, 1.0 - p_gauss, crude.linear_entropy],
-        ["squeeze_S", squeezing(rho), s_gauss, crude.squeeze_S],
-        ["fano_F", fano(rho), f_gauss, crude.fano_F],
+        ["squeeze_S", mom.squeezing(), s_gauss, crude.squeeze_S],
+        ["fano_F", mom.fano(), f_gauss, crude.fano_F],
         ["x", None, x, crude.x],
         ["leading_eig_squeeze", lead_squeeze, None, None],
     ]
@@ -405,7 +405,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 _timeseries_rows(traj),
             )
         elif isinstance(spec, ClassicalPathOutput):
-            mom0 = moments(traj.states[0])
+            moms = [moments(state) for state in traj.states]
+            mom0 = moms[0]
             if spec.with_noise:
                 path = linearized_noise_path(
                     mom0.mean_a, mom0.B, mom0.C, params, grid
@@ -415,7 +416,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
             columns = ["t", "re_alpha", "im_alpha", "re_mean_a", "im_mean_a"]
             rows = []
             for i, t in enumerate(grid.times):
-                q = moments(traj.states[i]).mean_a
+                q = moms[i].mean_a
                 row = [float(t), path.alpha[i].real, path.alpha[i].imag, q.real, q.imag]
                 if spec.with_noise:
                     row += [
@@ -445,17 +446,17 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 rows,
             )
         elif isinstance(spec, DistanceToSteadyOutput):
-            target = steady_state()
+            target_eig = target_eigenpairs(steady_state())
             rows = []
             for t, state in zip(grid.times, traj.states):
                 try:
-                    rel = relative_entropy(state, target)
+                    rel = relative_entropy_eig(state, target_eig)
                 except SupportMismatch:
                     # the state still has weight outside the numerical
                     # support of the stationary state, so the relative
                     # entropy is effectively infinite; leave the cell empty
                     rel = None
-                rows.append([float(t), bures_distance(state, target), rel])
+                rows.append([float(t), bures_distance_eig(state, target_eig), rel])
             _write_csv(
                 emit(f"{config.name}_distance.csv"),
                 header,
@@ -510,8 +511,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 "entropy": von_neumann_entropy(final),
                 "linear_entropy": lin,
                 "purity": purity,
-                "fano": fano(final),
-                "squeeze_S": squeezing(final),
+                "fano": mom.fano(),
+                "squeeze_S": mom.squeezing(),
                 "steps": steps,
             }
         )

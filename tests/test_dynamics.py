@@ -19,12 +19,14 @@ from kerrosc.dynamics import (
     SemiclassicalPath,
     TimeGrid,
     Trajectory,
+    _adaptive_rk,
     classical_path,
     evolve,
     kerr_lossless_evolve,
     linear_damping_amplitude,
     linearized_noise_path,
     liouvillian_apply,
+    liouvillian_generator,
 )
 from kerrosc.errors import CutoffExceeded
 from kerrosc.fock import (
@@ -32,6 +34,7 @@ from kerrosc.fock import (
     FockCutoff,
     OscillatorParams,
     StateVector,
+    annihilation_matrix,
     coherent_state,
     density_from_pure,
     fock_state,
@@ -366,3 +369,57 @@ class TestLiouvillianApply:
         )
         fd = (traj.states[-1].elements - rho0.elements) / dt
         assert float(np.max(np.abs(fd - deriv))) < 1e-4
+
+
+def dense_liouvillian(params: OscillatorParams, r: np.ndarray) -> np.ndarray:
+    """-i[H, r] + gamma0 (2 a r a^dag - a^dag a r - r a^dag a) by matrix products."""
+    dim = r.shape[0]
+    a = annihilation_matrix(FockCutoff(dim - 1))
+    ad = a.conj().T
+    h = 1j * (params.pump * ad - np.conj(params.pump) * a)
+    h = h + params.kerr * (ad @ ad @ a @ a)
+    num = ad @ a
+    return -1j * (h @ r - r @ h) + params.loss * (
+        2.0 * (a @ r @ ad) - num @ r - r @ num
+    )
+
+
+class TestBandedLiouvillian:
+    @pytest.mark.parametrize("dim", [2, 3, 46, 101])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            OscillatorParams(pump=5.0, kerr=0.2, loss=1.0),
+            OscillatorParams(pump=1.3 - 2.1j, kerr=0.7, loss=0.0),
+            OscillatorParams(pump=-0.4 + 0.9j, kerr=0.0, loss=0.35),
+        ],
+        ids=["bundled", "complex-pump-lossless", "kerr-free"],
+    )
+    def test_matches_dense_matrix_products(self, dim, params):
+        rng = np.random.default_rng(dim)
+        # a general (non-Hermitian) input: RK stage inputs are Hermitian
+        # only up to round-off
+        r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        ref = dense_liouvillian(params, r)
+        got = liouvillian_generator(params, dim)(r)
+        assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+class TestAdaptiveRK:
+    @pytest.mark.parametrize(
+        "lam, y0",
+        [
+            (np.array([-0.7 + 2.0j]), np.array([1.0 + 0.5j])),
+            (
+                np.array([-1.0, 0.3 - 1.5j, -0.05 + 4.0j]),
+                np.array([2.0 + 0.0j, -1.0 + 1.0j, 0.5j]),
+            ),
+        ],
+        ids=["scalar", "3-vector"],
+    )
+    def test_linear_ode_matches_exponential(self, lam, y0):
+        rtol, atol, t1 = 1e-9, 1e-12, 2.5
+        y, steps, h = _adaptive_rk(lambda y: lam * y, y0, 0.0, t1, rtol, atol)
+        exact = y0 * np.exp(lam * t1)
+        assert steps > 0 and h > 0.0
+        np.testing.assert_allclose(y, exact, rtol=20 * rtol, atol=atol)

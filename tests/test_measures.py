@@ -35,6 +35,7 @@ from kerrosc.fock import (
 from kerrosc.measures import (
     MomentSet,
     bures_distance,
+    bures_distance_eig,
     chaotic_reference,
     fano,
     linear_entropy_and_purity,
@@ -42,8 +43,10 @@ from kerrosc.measures import (
     moments,
     photon_distribution,
     relative_entropy,
+    relative_entropy_eig,
     spectral_decomposition,
     squeezing,
+    target_eigenpairs,
     von_neumann_entropy,
 )
 
@@ -335,3 +338,32 @@ def test_warning_filter_hygiene():
         warnings.simplefilter("error")
         rho = density_from_pure(coherent_state(1.0, FockCutoff(15)))
         fano(rho)
+
+
+class TestBandMoments:
+    @pytest.mark.parametrize("dim", [2, 3, 12, 46])
+    def test_band_sums_match_dense_trace(self, rng, dim):
+        rho = random_density(rng, dim=dim)
+        a = annihilation_matrix(FockCutoff(dim - 1))
+        el = rho.elements
+        m = moments(rho)
+        assert abs(m.mean_a - np.trace(el @ a)) < 1e-12
+        assert abs(m.C + m.mean_a**2 - np.trace(el @ a @ a)) < 1e-12
+
+
+class TestDistanceEigenpairs:
+    def test_matches_public_functions_bit_for_bit(self, rng):
+        sigma = random_density(rng, dim=10)
+        sigma_eig = target_eigenpairs(sigma)
+        for _ in range(3):
+            rho = random_density(rng, dim=10)
+            assert bures_distance_eig(rho, sigma_eig) == bures_distance(rho, sigma)
+            assert relative_entropy_eig(rho, sigma_eig) == relative_entropy(rho, sigma)
+
+    def test_dimension_mismatch(self, rng):
+        sigma_eig = target_eigenpairs(random_density(rng, dim=4))
+        rho = random_density(rng, dim=5)
+        with pytest.raises(DimensionMismatch):
+            bures_distance_eig(rho, sigma_eig)
+        with pytest.raises(DimensionMismatch):
+            relative_entropy_eig(rho, sigma_eig)

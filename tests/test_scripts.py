@@ -1,0 +1,70 @@
+"""Smoke tests for the command-line helpers under scripts/."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+_HEADER = "# kerrosc 0.1.0\n# scenario: demo\n"
+
+
+def run_diff(dir_a: Path, dir_b: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "artifact_diff.py"), str(dir_a), str(dir_b)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def write_pair(tmp_path: Path, csv_b: str, grid_b: str) -> tuple[Path, Path]:
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    dir_a.mkdir()
+    dir_b.mkdir()
+    (dir_a / "demo_timeseries.csv").write_text(
+        _HEADER + "t,mean_n,steps\n0,1.5,0\n1,2.0000000,10\n2,1e-9,20\n"
+    )
+    (dir_a / "demo_grid0_t0.grid").write_text(_HEADER + "# s: -1\n0.25 0.5\n1 2\n")
+    (dir_b / "demo_timeseries.csv").write_text(_HEADER + csv_b)
+    (dir_b / "demo_grid0_t0.grid").write_text(_HEADER + grid_b)
+    return dir_a, dir_b
+
+
+class TestArtifactDiff:
+    def test_identical_directories(self, tmp_path):
+        dir_a, dir_b = write_pair(
+            tmp_path,
+            "t,mean_n,steps\n0,1.5,0\n1,2.0000000,10\n2,1e-9,20\n",
+            "# s: -1\n0.25 0.5\n1 2\n",
+        )
+        result = run_diff(dir_a, dir_b)
+        assert result.returncode == 0
+        assert result.stdout.strip() == "identical"
+
+    def test_reports_per_column_changes(self, tmp_path):
+        # the header line differs only in text; 2.0000000 -> 2 is the same
+        # number; the near-zero cell 1e-9 -> 3e-9 is left out of the ratio
+        dir_a, dir_b = write_pair(
+            tmp_path,
+            "t,mean_n,steps\n0,1.5,0\n1,2,12\n2,3e-9,20\n",
+            "# s: -2\n0.25 0.5\n1 2.5\n",
+        )
+        (dir_b / "extra.csv").write_text("x\n1\n")
+        result = run_diff(dir_a, dir_b)
+        assert result.returncode == 1
+        out = result.stdout
+        assert f"only in {dir_b}: extra.csv" in out
+        assert "differs: demo_timeseries.csv" in out
+        assert "  mean_n: max_abs 2.000e-09 max_rel 0.000e+00" in out
+        assert "  steps: max_abs 2.000e+00 max_rel 2.000e-01" in out
+        assert "  t:" not in out
+        assert "differs: demo_grid0_t0.grid" in out
+        assert "  values: max_abs 5.000e-01 max_rel 2.500e-01" in out
+        assert "largest absolute change: 2.000e+00 in demo_timeseries.csv:steps" in out
+
+    def test_missing_directory_is_a_usage_error(self, tmp_path):
+        result = run_diff(tmp_path, tmp_path / "absent")
+        assert result.returncode == 2
