@@ -126,7 +126,7 @@ from .quasidist import (
     gaussian_quasidistribution,
     quasidistribution,
 )
-from .runner import RunReport, evaluate_grid, render_grid, run_scenario, steady_table
+from .runner import RunReport, render_grid, run_scenario, steady_table
 from .steady import (
     SteadyParams,
     complex_gamma,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,9 +103,14 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite (to tolerance) matrix."""
+    """Hermitian, unit-trace, positive-semidefinite (to tolerance) matrix.
+
+    `spectrum` holds the ascending eigenvalues found by the positivity
+    check, read-only, so the spectral measures need not decompose again.
+    """
 
     elements: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         el = np.array(self.elements, dtype=complex, copy=True)
@@ -117,10 +122,12 @@ class DensityMatrix:
         tr = complex(np.trace(el))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
-        w_min = float(np.linalg.eigvalsh(0.5 * (el + el.conj().T))[0])
+        spectrum = np.linalg.eigvalsh(0.5 * (el + el.conj().T))
+        w_min = float(spectrum[0])
         if w_min < -_EIG_TOL:
             raise ValueError(f"minimum eigenvalue {w_min:.3e} below -{_EIG_TOL}")
         object.__setattr__(self, "elements", _read_only(el))
+        object.__setattr__(self, "spectrum", _read_only(spectrum))
 
     @property
     def dim(self) -> int:

@@ -152,11 +152,7 @@ def spectral_decomposition(rho: DensityMatrix) -> SpectralDecomposition:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """E = -sum p_k ln p_k over the spectrum, with 0 ln 0 = 0."""
-    try:
-        w = np.linalg.eigvalsh(rho.elements)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
-    w = w[w > _LOG_FLOOR]
+    w = rho.spectrum[rho.spectrum > _LOG_FLOOR]
     return max(float(-np.sum(w * np.log(w))), 0.0)
 
 
@@ -265,10 +261,6 @@ def relative_entropy_eig(
     sw, sv = sigma_eig
     if rho.dim != sw.shape[0]:
         raise DimensionMismatch(f"dims {rho.dim} != {sw.shape[0]}")
-    try:
-        rw = np.linalg.eigvalsh(rho.elements)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
     # weight of rho along each sigma eigenvector
     rho_diag = np.einsum("ij,jk,ki->i", sv.conj().T, rho.elements, sv).real
     outside = float(np.sum(rho_diag[sw < _LOG_FLOOR]))
@@ -277,7 +269,7 @@ def relative_entropy_eig(
             f"rho weight {outside:.3e} on near-null sigma subspace (> 1e-6)"
         )
     cross = float(np.sum(rho_diag * np.log(np.clip(sw, _LOG_FLOOR, None))))
-    rw = rw[rw > _LOG_FLOOR]
+    rw = rho.spectrum[rho.spectrum > _LOG_FLOOR]
     self_term = float(np.sum(rw * np.log(rw)))
     d = self_term - cross
     return 0.0 if -1e-9 < d < 0.0 else d

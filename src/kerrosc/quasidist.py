@@ -11,7 +11,22 @@ with the m < n elements given by Hermitian conjugation and the s = -1
 (Husimi) limit by the exact coherent-projector form
 e^{-|beta|^2} beta^n (beta*)^m / sqrt(n! m!).  The Laguerre factor is
 accumulated pre-multiplied by ((s+1)/(s-1))^n so every intermediate stays
-bounded even as s -> -1.  Gaussian states admit the closed form
+bounded even as s -> -1.
+
+Grids are evaluated as matrix products.  The Husimi grid is
+Q = e^{-|beta|^2} v^H rho v with the coherent-vector table
+v_m(beta) = beta^m / sqrt(m!), built and contracted for blocks of at most
+1024 points at a time to bound memory.  For s > -1 the k-th diagonal band
+of rho contributes e^{-2|beta|^2/(1-s)} [(beta*)^k A_k + beta^k B_k], where
+A_k and B_k are sums over n of the prefactor-weighted sub- and
+superdiagonal of rho against the scaled Laguerre factors.  Those factors
+depend on beta only through |beta|^2, so they are tabulated once per
+distinct |beta|^2 on the grid (a symmetric grid repeats each value up to
+eight times), both sums are one product with that table, and the results
+are gathered back onto the points.  The two sums stay separate so the
+imaginary residue of the grid still measures round-off.
+
+Gaussian states admit the closed form
 
     W^{(s)} = 1/(pi sqrt(K_s)) exp[(-a|u|^2 + Re(C* u^2))/K_s],
     u = beta - alpha,  a = (1-s)/2 + B,  K_s = a^2 - |C|^2,
@@ -31,6 +46,7 @@ from .fock import DensityMatrix
 from .gaussian import GaussianState
 
 _S_MAX = 1.0 - 1e-9
+_BLOCK = 1024  # grid points per coherent-vector table in the Husimi branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +128,12 @@ def _scaled_laguerre_seq(n_max: int, k: int, c: float, cx):
     cur = np.ones_like(cx) if np.ndim(cx) else 1.0
     for i in range(n_max + 1):
         yield cur
-        nxt = ((2 * i + k + 1) * c - cx) * cur
+        nxt = (2 * i + k + 1) * c - cx
+        nxt *= cur
         if prev is not None:
-            nxt = nxt - c * c * (i + k) * prev
-        prev, cur = cur, nxt / (i + 1)
+            nxt -= c * c * (i + k) * prev
+        nxt /= i + 1
+        prev, cur = cur, nxt
 
 
 def cg_matrix_element(n: int, m: int, beta: complex, s: float) -> complex:
@@ -171,36 +189,56 @@ def quasidistribution(
 
 
 def _husimi_grid(r: np.ndarray, dim: int, beta: np.ndarray) -> np.ndarray:
-    # <beta|rho|beta> with unnormalized coherent vectors v_m = beta^m/sqrt(m!)
-    v = np.empty((dim,) + beta.shape, dtype=complex)
-    v[0] = 1.0
-    for mm in range(1, dim):
-        v[mm] = v[mm - 1] * beta / math.sqrt(mm)
-    flat = v.reshape(dim, -1)
-    quad = np.einsum("ig,ij,jg->g", np.conj(flat), r, flat)
-    return (quad * np.exp(-np.abs(beta.ravel()) ** 2)).reshape(beta.shape)
+    # <beta|rho|beta> = e^{-|beta|^2} v^H r v with unnormalized coherent
+    # vectors v_m = beta^m/sqrt(m!), one (dim, B) table per block of points
+    flat = beta.ravel()
+    w = np.empty(flat.shape, dtype=complex)
+    for start in range(0, flat.shape[0], _BLOCK):
+        b = flat[start : start + _BLOCK]
+        v = np.empty((dim, b.shape[0]), dtype=complex)
+        v[0] = 1.0
+        for mm in range(1, dim):
+            v[mm] = v[mm - 1] * b / math.sqrt(mm)
+        quad = np.einsum("ig,ig->g", np.conj(v), r @ v)
+        w[start : start + _BLOCK] = quad * np.exp(-np.abs(b) ** 2)
+    return w.reshape(beta.shape)
 
 
 def _general_grid(r: np.ndarray, dim: int, beta: np.ndarray, s: float) -> np.ndarray:
-    b2 = np.abs(beta) ** 2
+    # The k-th diagonal contributes e^{-2|beta|^2/(1-s)} times
+    #   (beta*)^k sum_n pref_n rho_{n+k,n} M_n^k + beta^k sum_n pref_n rho_{n,n+k} M_n^k
+    # with M_n^k real and a function of |beta|^2 alone: evaluate M once per
+    # distinct |beta|^2, take both sums in one product and gather them back.
+    b2, inv = np.unique(np.abs(beta.ravel()) ** 2, return_inverse=True)
     c = (s + 1.0) / (s - 1.0)
     cx = -4.0 * b2 / (1.0 - s) ** 2
-    expfac = np.exp(-2.0 * b2 / (1.0 - s))
     log2f = math.log(2.0 / (1.0 - s))
-    lgam = [math.lgamma(i + 1) for i in range(dim)]
-    w = np.zeros(beta.shape, dtype=complex)
-    conj_beta = np.conj(beta)
+    lgam = np.array([math.lgamma(i + 1) for i in range(dim)])
+    lag = np.empty((dim, b2.shape[0]))
+    conj_beta = np.conj(beta.ravel())
+    power = np.exp(-2.0 * b2 / (1.0 - s))[inv].astype(complex)
+    # subdiagonal terms, and the complex conjugate of the superdiagonal ones
+    sub = np.zeros(conj_beta.shape, dtype=complex)
+    sup = np.zeros(conj_beta.shape, dtype=complex)
+    term = np.empty(conj_beta.shape, dtype=complex)
     for k in range(dim):
-        power = expfac * conj_beta**k if k else expfac
-        for n, scaled in enumerate(_scaled_laguerre_seq(dim - 1 - k, k, c, cx)):
-            m = n + k
-            pref = math.exp(0.5 * (lgam[n] - lgam[m]) + (k + 1) * log2f)
-            t_nm = pref * power * scaled
-            if k == 0:
-                w += r[n, n] * t_nm
-            else:
-                w += r[m, n] * t_nm + r[n, m] * np.conj(t_nm)
-    return w
+        size = dim - k
+        for n, scaled in enumerate(_scaled_laguerre_seq(size - 1, k, c, cx)):
+            lag[n] = scaled
+        pref = np.exp(0.5 * (lgam[:size] - lgam[k:]) + (k + 1) * log2f)
+        bands = np.stack([np.diagonal(r, -k), np.conj(np.diagonal(r, k))], axis=1)
+        bands *= pref[:, None]
+        # one real (U, size) @ (size, 4) product, read back as (U, 2) complex
+        sums = (lag[:size].T @ bands.view(float)).view(complex)
+        if k:  # the main diagonal has no separate superdiagonal
+            power *= conj_beta
+            np.take(sums[:, 1], inv, out=term)
+            term *= power
+            sup += term
+        np.take(sums[:, 0], inv, out=term)
+        term *= power
+        sub += term
+    return (sub + np.conj(sup)).reshape(beta.shape)
 
 
 def gaussian_quasidistribution(

@@ -9,9 +9,6 @@ parameters, cutoff, and tolerances.
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,40 +139,6 @@ def _write_csv(
     for row in rows:
         body.append(",".join(_cell(v) for v in row))
     _write_text(path, header + body)
-
-
-def _grid_threads() -> int:
-    raw = os.environ.get("KERROSC_GRID_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def evaluate_grid(rho: DensityMatrix, s: float, re_axis, im_axis) -> QuasiGrid:
-    """Quasidistribution grid, split across rows by KERROSC_GRID_THREADS.
-
-    Each grid point is independent, so the result is identical for any
-    thread count.
-    """
-    re_axis = np.asarray(re_axis, dtype=float)
-    im_axis = np.asarray(im_axis, dtype=float)
-    threads = min(_grid_threads(), im_axis.shape[0] // 2)
-    if threads <= 1:
-        return quasidistribution(rho, s, re_axis, im_axis)
-    chunks = np.array_split(np.arange(im_axis.shape[0]), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda idx: quasidistribution(rho, s, re_axis, im_axis[idx]).values,
-                chunks,
-            )
-        )
-    return QuasiGrid(
-        s=s, re_axis=re_axis, im_axis=im_axis, values=np.vstack(parts)
-    )
 
 
 def _initial_vector(config: ScenarioConfig, cutoff: FockCutoff) -> StateVector:
@@ -357,8 +320,9 @@ def _write_grid_file(
         f"{grid.im_axis.shape[0]}"
     )
     lines.append(f"# time: {time_label}")
+    row_fmt = " ".join([_FMT] * grid.values.shape[1])
     for row in grid.values:
-        lines.append(" ".join(_fmt(v) for v in row))
+        lines.append(row_fmt % tuple(row.tolist()))
     _write_text(path, lines)
 
 
@@ -469,7 +433,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
             if spec.target == "snapshots":
                 for si, t in enumerate(config.time.snapshot_times):
                     state = traj.states[_snapshot_index(grid, t)]
-                    g = evaluate_grid(state, spec.s, re_axis, im_axis)
+                    g = quasidistribution(state, spec.s, re_axis, im_axis)
                     _write_grid_file(
                         emit(f"{config.name}_grid{oi}_t{si}.grid"),
                         header,
@@ -477,14 +441,14 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                         _fmt(t),
                     )
             else:
-                g = evaluate_grid(steady_state(), spec.s, re_axis, im_axis)
+                g = quasidistribution(steady_state(), spec.s, re_axis, im_axis)
                 _write_grid_file(
                     emit(f"{config.name}_grid{oi}_steady.grid"), header, g, "steady"
                 )
                 if spec.eigenvectors:
                     dec = spectral_decomposition(steady_state())
                     for j in range(min(spec.eigenvectors, len(dec.eigenstates))):
-                        gj = evaluate_grid(
+                        gj = quasidistribution(
                             density_from_pure(dec.eigenstates[j]),
                             spec.s,
                             re_axis,

@@ -26,10 +26,11 @@ from kerrosc.config import (
     validate_config,
 )
 from kerrosc.errors import IoError
-from kerrosc.fock import FockCutoff, OscillatorParams, coherent_state, density_from_pure
+from kerrosc.fock import FockCutoff, OscillatorParams
+from kerrosc.quasidist import QuasiGrid
 from kerrosc.runner import (
     RunReport,
-    evaluate_grid,
+    _write_grid_file,
     render_grid,
     run_scenario,
     steady_table,
@@ -337,32 +338,24 @@ class TestRunScenario:
             name = path.split("/")[-1]
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_grid_threads_do_not_change_bytes(self, run_once, tmp_path, monkeypatch):
-        out1, report = run_once
-        monkeypatch.setenv("KERROSC_GRID_THREADS", "3")
-        out3 = tmp_path / "threaded"
-        run_scenario(good_config(), out3)
-        for path in report.files:
-            name = path.split("/")[-1]
-            assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
-
-
-class TestEvaluateGrid:
-    def test_thread_count_invariance(self, monkeypatch):
-        rho = density_from_pure(coherent_state(1.0 + 0.5j, FockCutoff(15)))
-        axis = np.linspace(-2.0, 2.0, 17)
-        monkeypatch.delenv("KERROSC_GRID_THREADS", raising=False)
-        single = evaluate_grid(rho, 0.0, axis, axis)
-        monkeypatch.setenv("KERROSC_GRID_THREADS", "4")
-        threaded = evaluate_grid(rho, 0.0, axis, axis)
-        np.testing.assert_array_equal(single.values, threaded.values)
-
-    def test_bad_thread_env_falls_back(self, monkeypatch):
-        rho = density_from_pure(coherent_state(0.5, FockCutoff(10)))
-        axis = np.linspace(-1.0, 1.0, 5)
-        monkeypatch.setenv("KERROSC_GRID_THREADS", "many")
-        grid = evaluate_grid(rho, -1.0, axis, axis)
-        assert grid.values.shape == (5, 5)
+    def test_grid_rows_match_per_value_format(self, tmp_path):
+        values = np.array(
+            [
+                [-0.0, 5e-324, 1e300, -1e-17],
+                [0.1, -2.5, 1.0 / 3.0, 123456.789],
+                [0.0, -1e-300, 2.0 / math.pi, 7.0],
+            ]
+        )
+        grid = QuasiGrid(
+            s=0.0,
+            re_axis=np.linspace(-1.0, 1.0, 4),
+            im_axis=np.linspace(-1.0, 1.0, 3),
+            values=values,
+        )
+        path = tmp_path / "rows.grid"
+        _write_grid_file(path, ["# header"], grid, "0")
+        body = path.read_text().splitlines()[-3:]
+        assert body == [" ".join("%.17g" % (v,) for v in row) for row in values]
 
 
 class TestSteadyTable:

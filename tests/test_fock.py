@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_density
 from kerrosc.errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -99,6 +100,15 @@ class TestDensityMatrix:
     def test_accepts_tiny_negative_eigenvalue(self):
         el = np.diag([1.0 + 1e-10, -1e-10]).astype(complex)
         assert DensityMatrix(el).dim == 2
+
+    def test_spectrum_is_ascending_eigenvalues(self, rng):
+        rho = random_density(rng, dim=30)
+        np.testing.assert_allclose(
+            rho.spectrum, np.linalg.eigvalsh(rho.elements), rtol=0.0, atol=1e-13
+        )
+        assert np.all(np.diff(rho.spectrum) >= 0.0)
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.0
 
 
 class TestCoherentState:

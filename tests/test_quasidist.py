@@ -211,6 +211,57 @@ class TestQuasidistributionGrid:
                 assert grid.values[i, j] == pytest.approx(sandwich / math.pi, abs=1e-12)
         assert float(np.min(grid.values)) >= 0.0
 
+    @pytest.mark.parametrize("s", [-0.999, -0.6, 0.0, 0.5])
+    def test_dim101_matches_elementwise_double_sum(self, rng, s):
+        # every diagonal band of a full-support state at dim 101; for s > 0
+        # the T^{(s)} elements grow like ((1+s)/(1-s))^n, so the tolerance is
+        # 1e-12 of the grid scale once that exceeds 1
+        dim = 101
+        rho = random_density(rng, dim=dim)
+        axis = np.linspace(-1.0, 1.0, 3)
+        grid = quasidistribution(rho, s, axis, axis)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(grid.values))))
+        for i, y in enumerate(axis):
+            for j, x in enumerate(axis):
+                beta = complex(x, y)
+                # rho_nm <m|T|n> is the conjugate of rho_mn <n|T|m>
+                total = 0.0
+                for n in range(dim):
+                    total += (rho.elements[n, n] * cg_matrix_element(n, n, beta, s)).real
+                    for m in range(n + 1, dim):
+                        term = rho.elements[m, n] * cg_matrix_element(n, m, beta, s)
+                        total += 2.0 * term.real
+                assert abs(grid.values[i, j] - total / math.pi) <= tol
+
+    @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0])
+    def test_sub_grid_matches_full_grid(self, rng, s):
+        # the sub-grid shares no symmetry with the full one, so the distinct
+        # |beta|^2 values (and the Husimi blocks) differ between the two calls
+        rho = random_density(rng, dim=30)
+        re = np.linspace(-3.0, 3.0, 41)
+        im = np.linspace(-3.0, 3.0, 41)
+        full = quasidistribution(rho, s, re, im)
+        sub = quasidistribution(rho, s, re[5:17], im[22:39])
+        np.testing.assert_allclose(
+            sub.values, full.values[22:39, 5:17], rtol=0.0, atol=1e-13
+        )
+
+    def test_husimi_partial_block_is_coherent_expectation(self, rng):
+        # 33 x 37 = 1221 points: one full block of coherent vectors and a
+        # partial one
+        dim = 20
+        rho = random_density(rng, dim=dim)
+        re = np.linspace(-2.5, 2.0, 37)
+        im = np.linspace(-2.0, 2.5, 33)
+        grid = quasidistribution(rho, -1.0, re, im)
+        norms = np.sqrt([math.factorial(m) for m in range(dim)])
+        for i, y in enumerate(im):
+            for j, x in enumerate(re):
+                beta = complex(x, y)
+                v = beta ** np.arange(dim) / norms
+                sandwich = (np.conj(v) @ rho.elements @ v).real * math.exp(-abs(beta) ** 2)
+                assert grid.values[i, j] == pytest.approx(sandwich / math.pi, abs=1e-12)
+
     def test_vacuum_wigner_peak(self):
         rho = density_from_pure(fock_state(0, FockCutoff(6)))
         grid = quasidistribution(rho, 0.0, small_axis, small_axis)
