@@ -61,6 +61,7 @@ from .errors import (
     NonconvergenceWithinMaxTerms,
     NonpositiveKs,
     PoleAtNonpositiveInteger,
+    PositivityLost,
     SParamOutOfRange,
     StepSizeUnderflow,
     SupportMismatch,

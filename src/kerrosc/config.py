@@ -16,8 +16,7 @@ from typing import Any, Union
 import yaml
 
 from .fock import OscillatorParams
-
-_S_MAX = 1.0 - 1e-9
+from .quasidist import _S_MAX
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ The full quantum evolution integrates the zero-temperature master equation
 
 with an adaptive embedded Dormand-Prince 5(4) stepper on the truncated density
 matrix, hermitizing and renormalizing after every accepted step.  H is
-tridiagonal and a bidiagonal in the Fock basis, so the right-hand side is built
-from elementwise products and shifted slices of rho, never from dense matrix
-products.  Alongside it live the closed-form maps used as oracles and cheap
-approximations: the lossless Kerr phase map, the linear-damping amplitude, the
-classical amplitude ODE and the linearized noise-moment ODEs.
+tridiagonal and a bidiagonal in the Fock basis, so the right-hand side is a
+stencil on the flattened rho, flat index m*dim + n: a diagonal factor plus five
+bands, each one elementwise product with a contiguous shifted slice (offsets
+-dim, +dim, +1, -1 and dim+1), with the coefficients zeroed where a column shift
+would wrap into the next row.  There are no dense matrix products.  Alongside
+it live the closed-form maps used as oracles and cheap approximations: the
+lossless Kerr phase map, the linear-damping amplitude, the classical amplitude
+ODE and the linearized noise-moment ODEs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CutoffExceeded, DriftTooLarge, StepSizeUnderflow
+from .errors import CutoffExceeded, DriftTooLarge, PositivityLost, StepSizeUnderflow
 from .fock import (
     DensityMatrix,
     FockCutoff,
@@ -211,30 +214,47 @@ def liouvillian_generator(
 
     where terms reaching past the truncation edge are dropped, exactly as in
     the truncated-matrix products -i[H, rho] + gamma0(2 a rho a^dag - ...).
+
+    The closure works on the flattened state, flat index i = m*dim + n, where
+    each neighbour is one contiguous shifted slice: rho_{m-1,n} and
+    rho_{m+1,n} sit at offsets -dim and +dim, rho_{m,n+1} and rho_{m,n-1} at
+    +1 and -1, and rho_{m+1,n+1} at dim+1.  Each band has one coefficient per
+    output entry.  Where a +-1 or dim+1 shift would wrap into the neighbouring
+    row (column n = dim-1 for +1 and dim+1, n = 0 for -1), the coefficient is
+    exactly 0, so every entry receives the same nonzero terms, in the same
+    order, as a (dim, dim) slice formulation would give it.
     """
     FockCutoff(dim - 1)  # rejects dim < 2 like every other basis constructor
     levels = np.arange(dim, dtype=float)
     kerr_energy = levels * (levels - 1.0)
-    diag = -1j * params.kerr * (
-        kerr_energy[:, None] - kerr_energy[None, :]
-    ) - params.loss * (levels[:, None] + levels[None, :])
-    root = np.sqrt(levels[1:])
+    diag = (
+        -1j * params.kerr * (kerr_energy[:, None] - kerr_energy[None, :])
+        - params.loss * (levels[:, None] + levels[None, :])
+    ).ravel()
+    # sqrt(m) is 0 at m = 0, which zeroes the -1 shift's wrap; sqrt(m+1) is
+    # set to 0 at m = dim-1 to zero the wraps of the +1 and dim+1 shifts
+    root = np.sqrt(levels)
+    root_up = np.sqrt(levels + 1.0)
+    root_up[-1] = 0.0
     pump = params.pump
-    row_from_above = (pump * root)[:, None]  # p sqrt(m) on rho_{m-1,n}
-    row_from_below = (-np.conj(pump) * root)[:, None]  # -p* sqrt(m+1) on rho_{m+1,n}
-    col_from_right = -pump * root  # -p sqrt(n+1) on rho_{m,n+1}
-    col_from_left = np.conj(pump) * root  # p* sqrt(n) on rho_{m,n-1}
+    # per-row factors are repeated along a row, per-column ones tiled over rows
+    above = np.repeat(pump * root, dim)[dim:]  # p sqrt(m) on rho_{m-1,n}
+    below = np.repeat(-np.conj(pump) * root_up, dim)[:-dim]  # -p* sqrt(m+1) on rho_{m+1,n}
+    right = np.tile(-pump * root_up, dim)[:-1]  # -p sqrt(n+1) on rho_{m,n+1}
+    left = np.tile(np.conj(pump) * root, dim)[1:]  # p* sqrt(n) on rho_{m,n-1}
     # complex like the other bands, so no product casts on every call
-    jump = (2.0 * params.loss * np.outer(root, root)).astype(complex)
+    jump = (2.0 * params.loss * np.outer(root_up, root_up)).astype(complex).ravel()
+    jump = jump[: -dim - 1]  # 2 gamma0 sqrt((m+1)(n+1)) on rho_{m+1,n+1}
 
     def rhs(r: np.ndarray) -> np.ndarray:
-        out = diag * r
-        out[1:] += row_from_above * r[:-1]
-        out[:-1] += row_from_below * r[1:]
-        out[:, :-1] += col_from_right * r[:, 1:]
-        out[:, 1:] += col_from_left * r[:, :-1]
-        out[:-1, :-1] += jump * r[1:, 1:]
-        return out
+        v = r.reshape(-1)
+        out = diag * v
+        out[dim:] += above * v[:-dim]
+        out[:-dim] += below * v[dim:]
+        out[:-1] += right * v[1:]
+        out[1:] += left * v[:-1]
+        out[: -dim - 1] += jump * v[dim + 1 :]
+        return out.reshape(r.shape)
 
     return rhs
 
@@ -256,8 +276,10 @@ def evolve(
 
     Every accepted integrator step is hermitized and renormalized; the
     accumulated pre-renormalization trace drift must stay below 1e-8 per unit
-    time on each output segment, and the population within `tail_margin`
-    entries of the truncation edge must stay below 1e-6 at every output.
+    time on each output segment (else `DriftTooLarge`), the population within
+    `tail_margin` entries of the truncation edge must stay below 1e-6 at every
+    output (else `CutoffExceeded`), and each output must then pass the
+    `DensityMatrix` check (else `PositivityLost`).
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be > 0")
@@ -292,12 +314,17 @@ def evolve(
                 f"trace drift {drift_acc:.3e} over [{ta:.6g}, {tb:.6g}] "
                 f"exceeds budget {budget:.3e}"
             )
-        state = DensityMatrix(y)
-        tm = tail_mass(state, margin)
+        # a basis without headroom also breaks positivity, so report the
+        # tail first
+        tm = tail_mass(y, margin)
         if tm > 1e-6:
             raise CutoffExceeded(
                 f"tail mass {tm:.3e} at t = {tb:.6g} (n_cut = {dim - 1} too small)"
             )
+        try:
+            state = DensityMatrix(y)
+        except ValueError as exc:
+            raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
         states.append(state)
         diags.append(StepDiagnostics(drift_acc, tm, total_steps))
     return Trajectory(times=grid, states=tuple(states), diagnostics=tuple(diags))

@@ -41,6 +41,10 @@ class StepSizeUnderflow(KerrOscError):
     """Adaptive integrator step fell below the representable minimum."""
 
 
+class PositivityLost(KerrOscError):
+    """Evolved matrix failed the density-matrix check (eigenvalue floor)."""
+
+
 class IntegrationFailure(KerrOscError):
     """A scenario-level wrapper for any evolution failure."""
 

@@ -279,8 +279,14 @@ def hermitize_and_renormalize(rho: DensityMatrix | np.ndarray) -> DensityMatrix:
     return DensityMatrix(_hermitize(el))
 
 
-def tail_mass(rho: DensityMatrix, margin: int) -> float:
-    """Probability in the last `margin` diagonal entries (truncation monitor)."""
-    if not 0 < margin < rho.dim:
-        raise ValueError(f"margin must be in (0, {rho.dim})")
-    return float(np.sum(rho.elements.diagonal().real[-margin:]))
+def tail_mass(rho: DensityMatrix | np.ndarray, margin: int) -> float:
+    """Probability in the last `margin` diagonal entries (truncation monitor).
+
+    Also takes a raw square array, so an integrator can check the tail before
+    the `DensityMatrix` positivity check.
+    """
+    el = rho.elements if isinstance(rho, DensityMatrix) else rho
+    dim = el.shape[0]
+    if not 0 < margin < dim:
+        raise ValueError(f"margin must be in (0, {dim})")
+    return float(np.sum(el.diagonal().real[-margin:]))

@@ -45,7 +45,7 @@ from .errors import InvalidOrder, NonpositiveKs, SParamOutOfRange
 from .fock import DensityMatrix
 from .gaussian import GaussianState
 
-_S_MAX = 1.0 - 1e-9
+_S_MAX = 1.0 - 1e-9  # largest ordering parameter s; `config` validates against it too
 _BLOCK = 1024  # grid points per coherent-vector table in the Husimi branch
 
 

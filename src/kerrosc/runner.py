@@ -40,6 +40,7 @@ from .errors import (
     DriftTooLarge,
     IntegrationFailure,
     IoError,
+    PositivityLost,
     StepSizeUnderflow,
     SupportMismatch,
 )
@@ -197,7 +198,9 @@ def _compute_trajectory(
         return _pure_kerr_trajectory(psi0, params, grid)
     try:
         return evolve(density_from_pure(psi0), params, grid, rtol=_RTOL, atol=_ATOL)
-    except (StepSizeUnderflow, DriftTooLarge, CutoffExceeded) as exc:
+    except (
+        StepSizeUnderflow, DriftTooLarge, CutoffExceeded, PositivityLost
+    ) as exc:
         raise IntegrationFailure(f"evolution failed: {exc}") from exc
 
 

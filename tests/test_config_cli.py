@@ -8,11 +8,16 @@ file header structure, greymap rendering, and the CLI exit-code contract.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import kerrosc
 from kerrosc.cli import main
 from kerrosc.config import (
     CoherentInit,
@@ -69,6 +74,24 @@ outputs:
   - kind: distance_to_steady
   - kind: steady_report
   - kind: gaussian_report
+"""
+
+POSITIVITY_LOSS_YAML = """
+name: positivity
+initial_state:
+  kind: coherent
+  alpha: [3.0, 0.0]
+params:
+  pump: [5.0, 0.0]
+  kerr: 0.0
+  loss: 1.0
+cutoff: 45
+time:
+  t_max: 5.0
+  snapshot_times: []
+  sample_count: 11
+outputs:
+  - kind: timeseries
 """
 
 
@@ -466,6 +489,26 @@ class TestCli:
         path.write_text(text)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+    def test_run_positivity_loss_exits_3_without_traceback(self, tmp_path):
+        # G = 0 from |alpha=3> at n_cut 45: the eigenvalue floor breaks
+        # before the tail mass exceeds its budget
+        path = tmp_path / "s.yaml"
+        path.write_text(POSITIVITY_LOSS_YAML)
+        src = Path(kerrosc.__file__).resolve().parent.parent
+        path_env = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "kerrosc.cli", "run", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path_env),
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical failure:" in proc.stderr
+        assert "minimum eigenvalue" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_steady_table_output(self, capsys):
         code = main(["steady", "--G", "0.2", "--gamma0", "1.0", "--p", "5,0", "--cutoff", "40"])

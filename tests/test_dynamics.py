@@ -9,6 +9,7 @@ fixed point.  Complete-positivity invariants run under hypothesis.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from kerrosc.dynamics import (
     liouvillian_apply,
     liouvillian_generator,
 )
-from kerrosc.errors import CutoffExceeded
+from kerrosc.errors import CutoffExceeded, KerrOscError, PositivityLost
 from kerrosc.fock import (
     DensityMatrix,
     FockCutoff,
@@ -231,6 +232,24 @@ class TestEvolveDiagnostics:
         with pytest.raises(CutoffExceeded):
             evolve(rho0, params, TimeGrid.uniform(5.0, 11))
 
+    def test_tail_mass_is_checked_before_positivity(self):
+        # at n_cut 33 the first output both breaks the eigenvalue floor and
+        # carries tail mass 4e-4: the missing headroom is the cause to report
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.0, loss=1.0)
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(33)))
+        with pytest.raises(CutoffExceeded):
+            evolve(rho0, params, TimeGrid.uniform(5.0, 11))
+
+    def test_positivity_loss_is_typed(self):
+        # mean photon number 25 at n_cut 45: the floor breaks while the tail
+        # mass is still within budget
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.0, loss=1.0)
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
+        with pytest.raises(PositivityLost, match="minimum eigenvalue") as info:
+            evolve(rho0, params, TimeGrid.uniform(5.0, 11))
+        assert isinstance(info.value, KerrOscError)
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 small_amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -382,6 +401,65 @@ def dense_liouvillian(params: OscillatorParams, r: np.ndarray) -> np.ndarray:
     return -1j * (h @ r - r @ h) + params.loss * (
         2.0 * (a @ r @ ad) - num @ r - r @ num
     )
+
+
+def banded_liouvillian_2d(
+    params: OscillatorParams, dim: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The RHS as shifted slices of the (dim, dim) array, band by band.
+
+    Adds the same terms in the same order as the flat stencil, so the two
+    must agree bit for bit.
+    """
+    levels = np.arange(dim, dtype=float)
+    kerr_energy = levels * (levels - 1.0)
+    diag = -1j * params.kerr * (
+        kerr_energy[:, None] - kerr_energy[None, :]
+    ) - params.loss * (levels[:, None] + levels[None, :])
+    root = np.sqrt(levels[1:])
+    pump = params.pump
+    row_from_above = (pump * root)[:, None]
+    row_from_below = (-np.conj(pump) * root)[:, None]
+    col_from_right = -pump * root
+    col_from_left = np.conj(pump) * root
+    jump = (2.0 * params.loss * np.outer(root, root)).astype(complex)
+
+    def rhs(r: np.ndarray) -> np.ndarray:
+        out = diag * r
+        out[1:] += row_from_above * r[:-1]
+        out[:-1] += row_from_below * r[1:]
+        out[:, :-1] += col_from_right * r[:, 1:]
+        out[:, 1:] += col_from_left * r[:, :-1]
+        out[:-1, :-1] += jump * r[1:, 1:]
+        return out
+
+    return rhs
+
+
+class TestFlatStencil:
+    @pytest.mark.parametrize("dim", [2, 3, 46, 101])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            OscillatorParams(pump=5.0, kerr=0.2, loss=1.0),
+            OscillatorParams(pump=1.3 - 2.1j, kerr=0.7, loss=0.35),
+        ],
+        ids=["bundled", "complex-pump"],
+    )
+    def test_bitwise_equal_to_2d_slices(self, dim, params):
+        rng = np.random.default_rng(1000 + dim)
+        r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        got = liouvillian_generator(params, dim)(r)
+        assert np.array_equal(got, banded_liouvillian_2d(params, dim)(r))
+
+    @pytest.mark.parametrize("dim", [2, 46])
+    def test_keeps_shape_and_leaves_input_unmodified(self, dim):
+        rng = np.random.default_rng(dim)
+        r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        before = r.copy()
+        got = liouvillian_generator(OscillatorParams(5.0, 0.2, 1.0), dim)(r)
+        assert got.shape == (dim, dim)
+        assert np.array_equal(r, before)
 
 
 class TestBandedLiouvillian:
