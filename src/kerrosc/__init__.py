@@ -131,6 +131,7 @@ from .runner import RunReport, render_grid, run_scenario, steady_table
 from .steady import (
     SteadyParams,
     complex_gamma,
+    complex_lgamma,
     hyper_0f2,
     hyper_0f2_diagnostic,
     steady_density,

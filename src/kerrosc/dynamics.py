@@ -11,17 +11,31 @@ tridiagonal and a bidiagonal in the Fock basis, so the right-hand side is a
 stencil on the flattened rho, flat index m*dim + n: a diagonal factor plus five
 bands, each one elementwise product with a contiguous shifted slice (offsets
 -dim, +dim, +1, -1 and dim+1), with the coefficients zeroed where a column shift
-would wrap into the next row.  There are no dense matrix products.  Alongside
-it live the closed-form maps used as oracles and cheap approximations: the
-lossless Kerr phase map, the linear-damping amplitude, the classical amplitude
-ODE and the linearized noise-moment ODEs.
+would wrap into the next row.  There are no dense matrix products.
+
+The master equation is linear and autonomous, d rho/dt = L rho, so a DP5 step
+of size h is a polynomial in hL (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6 and IV.2).  `evolve` takes it in that Krylov form: per accepted step the
+chain v_j = L^j y, j = 0..7, costs six RHS calls (v_1 is the previous step's
+first-same-as-last derivative), the new state is sum_j r_j h^j v_j and the
+error vector sum_j e_j h^j v_j, with r and e derived from the tableau.  A
+rejected step re-weights the same chain with the smaller h and calls no RHS.
+Output samples never cut a step short: a sample time t + s inside an accepted
+step [t, t + h] is read off the same polynomial as sum_j r_j s^j v_j, which is
+the DP5 step of size s from y, so the step sequence and the final state do not
+depend on the output grid.
+
+Alongside it live the closed-form maps used as oracles and cheap
+approximations: the lossless Kerr phase map, the linear-damping amplitude, and
+the nonlinear classical amplitude and linearized noise-moment ODEs, which use
+the stage form of the same tableau and step-size controller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +72,17 @@ _DP_ERR = np.array((
 # _DP_A as a square array: row i holds the stage-i weights, zero-padded
 _DP_A_MAT = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A])
 
+# Krylov form of one DP5 step for a linear autonomous f(y) = L y.  The stage
+# derivatives are k = sum_q h^q (A^q 1) L^(q+1) y (A is nilpotent, A^7 = 0), so
+# y_new = sum_j r_j h^j L^j y with r_0 = 1 and r_j = b A^(j-1) 1, where b, the
+# 5th-order weights, is the last stage row; likewise the error vector has
+# e_j = _DP_ERR A^(j-1) 1.  r is 1, 1, 1/2, ..., 1/120, 1/600, 0 and e starts
+# at h^5 (up to round-off).
+_A_POWERS_ONE = [np.linalg.matrix_power(_DP_A_MAT, q) @ np.ones(7) for q in range(7)]
+_KRYLOV_R = np.array([1.0] + [_DP_A_MAT[6] @ v for v in _A_POWERS_ONE])
+_KRYLOV_E = np.array([0.0] + [_DP_ERR @ v for v in _A_POWERS_ONE])
+_KRYLOV_POWERS = np.arange(8.0)
+
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
@@ -88,9 +113,10 @@ class StepDiagnostics:
     """Per-output-time integration diagnostics.
 
     trace_error : accumulated |trace change| before renormalization over the
-                  segment ending at this output time
+                  segment ending at this output time: the accepted steps that
+                  end in it, plus the output sample itself
     tail_mass   : population in the last diagonal entries at this time
-    steps       : cumulative accepted steps since t = 0
+    steps       : accepted steps completed at or before this time since t = 0
     """
 
     trace_error: float
@@ -130,6 +156,41 @@ class SemiclassicalPath:
                 raise ValueError("noise_B must stay >= -1e-12 at all times")
 
 
+def _initial_step(
+    y: np.ndarray, dy: np.ndarray, span: float, rtol: float, atol: float
+) -> float:
+    """First trial step from the scaled sizes of y and dy/dt, at most `span`."""
+    sc = atol + rtol * np.abs(y)
+    d0 = math.sqrt(float(np.mean(np.abs(y / sc) ** 2)))
+    d1 = math.sqrt(float(np.mean(np.abs(dy / sc) ** 2)))
+    if d0 > 1e-300 and d1 > 1e-300:
+        h = 0.01 * d0 / d1
+    elif d1 <= 1e-300:
+        # derivative negligible: start with a coarse step
+        h = 0.1 * span
+    else:
+        # state at (or near) zero but moving: start tiny and let the
+        # controller grow the step
+        h = 1e-6 * span
+    return min(h, span)
+
+
+def _error_norm(
+    err_vec: np.ndarray, abs_y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float
+) -> float:
+    """RMS of the error vector scaled by atol + rtol * max(|y|, |y_new|)."""
+    sc = atol + rtol * np.maximum(abs_y, np.abs(y_new))
+    scaled = np.abs(err_vec) / sc
+    return math.sqrt(float(np.vdot(scaled, scaled)) / scaled.size)
+
+
+def _step_factor(err: float) -> float:
+    """Step-size factor after a trial step with error norm `err`."""
+    if err == 0.0:
+        return 5.0
+    return min(5.0, max(0.2, 0.9 * err ** -0.2))
+
+
 def _adaptive_rk(
     f: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
@@ -137,13 +198,12 @@ def _adaptive_rk(
     t1: float,
     rtol: float,
     atol: float,
-    on_accept: Callable[[np.ndarray], np.ndarray] | None = None,
     h_init: float | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Integrate dy/dt = f(y) from t0 to t1 with embedded 5(4) step control.
 
-    Returns (y(t1), accepted step count, last step size).  `on_accept`, if
-    given, may adjust the state after each accepted step (drift repair).
+    The stage form, for the nonlinear semiclassical ODEs.  Returns (y(t1),
+    accepted step count, last step size).
     """
     span = t1 - t0
     h_min = 1e-14 * max(1.0, abs(t1))
@@ -153,22 +213,7 @@ def _adaptive_rk(
     k = np.empty((7,) + k0.shape, dtype=np.result_type(y, k0))
     k[0] = k0
     k_flat = k.reshape(7, -1)
-    if h_init is None:
-        sc = atol + rtol * np.abs(y)
-        d0 = math.sqrt(float(np.mean(np.abs(y / sc) ** 2)))
-        d1 = math.sqrt(float(np.mean(np.abs(k0 / sc) ** 2)))
-        if d0 > 1e-300 and d1 > 1e-300:
-            h = 0.01 * d0 / d1
-        elif d1 <= 1e-300:
-            # derivative negligible: start with a coarse step
-            h = 0.1 * span
-        else:
-            # state at (or near) zero but moving: start tiny and let the
-            # controller grow the step
-            h = 1e-6 * span
-    else:
-        h = h_init
-    h = min(h, span)
+    h = _initial_step(y, k0, span, rtol, atol) if h_init is None else min(h_init, span)
     t = t0
     steps = 0
     while t < t1:
@@ -182,21 +227,84 @@ def _adaptive_rk(
             k[i] = f(yi)
         y_new = yi  # stage 7 input is the 5th-order solution
         err_vec = ((h * _DP_ERR).astype(k.dtype) @ k_flat).reshape(y.shape)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        scaled = np.abs(err_vec) / sc
-        err = math.sqrt(float(np.vdot(scaled, scaled)) / scaled.size)  # RMS
+        err = _error_norm(err_vec, np.abs(y), y_new, rtol, atol)
         if err <= 1.0:
             t += h
             y = y_new
             k[0] = k[6]  # first-same-as-last
-            if on_accept is not None:
-                y = on_accept(y)
             steps += 1
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h *= factor
+        h *= _step_factor(err)
     return y, steps, h
+
+
+def _linear_dp5(
+    f: Callable[[np.ndarray], np.ndarray],
+    y: np.ndarray,
+    times: np.ndarray,
+    rtol: float,
+    atol: float,
+    project: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[tuple[np.ndarray, int]]:
+    """DP5 in Krylov form for a linear autonomous f, sampled at times[1:].
+
+    Integrates from times[0] to times[-1] with the tableau and controller of
+    `_adaptive_rk`, cutting only the last step to end at times[-1].  Yields
+    (sample, steps) in time order, where `steps` counts the accepted steps
+    completed at or before the sample.  `project` maps every accepted state
+    and every sample read off a step polynomial (for evolve: hermitize and
+    renormalize); a sample at the end of a step is the accepted state itself.
+    """
+    n = times.shape[0]
+    if n < 2:
+        return
+    t, t_end = float(times[0]), float(times[-1])
+    h_min = 1e-14 * max(1.0, abs(t_end))
+    shape = y.shape
+    # chain[j] = L^j y, complex; its real view makes every weighted sum over
+    # the chain one real (8,) @ (8, 2N) product
+    chain = np.empty((8,) + shape, dtype=complex)
+    flat = chain.view(float).reshape(8, -1)
+    chain[0] = y
+    chain[1] = f(y)
+    h = _initial_step(y, chain[1], t_end - t, rtol, atol)
+
+    def combine(coeffs: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:
+        w = coeffs * dt ** _KRYLOV_POWERS[: rows.shape[0]]
+        return (w @ rows).view(complex).reshape(shape)
+
+    steps = 0
+    idx = 1
+    stale = True
+    while t < t_end:
+        remaining = t_end - t
+        last = h >= remaining
+        if last:
+            h = remaining
+        if h < h_min:
+            raise StepSizeUnderflow(f"step size {h:.3e} underflow at t = {t:.6g}")
+        if stale:
+            for j in range(2, 8):
+                chain[j] = f(chain[j - 1])
+            abs_y = np.abs(chain[0])
+            stale = False
+        y_new = combine(_KRYLOV_R, h, flat)
+        err = _error_norm(combine(_KRYLOV_E, h, flat), abs_y, y_new, rtol, atol)
+        if err <= 1.0:
+            t_new = t_end if last else t + h
+            fsal = combine(_KRYLOV_R[:7], h, flat[1:])  # L y_new
+            while idx < n and times[idx] < t_new:
+                yield project(combine(_KRYLOV_R, float(times[idx]) - t, flat)), steps
+                idx += 1
+            y = project(y_new)
+            steps += 1
+            t = t_new
+            chain[0] = y
+            chain[1] = fsal
+            stale = True
+            if idx < n and times[idx] == t:
+                yield y, steps
+                idx += 1
+        h *= _step_factor(err)
 
 
 def liouvillian_generator(
@@ -274,12 +382,20 @@ def evolve(
 ) -> Trajectory:
     """Master-equation evolution of rho0 recorded at the grid times.
 
-    Every accepted integrator step is hermitized and renormalized; the
-    accumulated pre-renormalization trace drift must stay below 1e-8 per unit
-    time on each output segment (else `DriftTooLarge`), the population within
-    `tail_margin` entries of the truncation edge must stay below 1e-6 at every
-    output (else `CutoffExceeded`), and each output must then pass the
-    `DensityMatrix` check (else `PositivityLost`).
+    One adaptive DP5 integration in Krylov form runs from 0 to the last grid
+    time; the grid only says where to sample it.  A sample inside a step is
+    the DP5 step from the step's start to the sample time, read off the step
+    polynomial, so samples are fifth order and never shorten a step: the step
+    sequence and the final state do not depend on how densely the grid
+    samples.  Every accepted step and every sample is hermitized and
+    renormalized.  At each output, in time order: the pre-renormalization
+    trace drift accumulated since the previous output (accepted steps ending
+    in the segment plus the sample itself) must stay below 1e-8 per unit time
+    (else `DriftTooLarge`), the population within `tail_margin` entries of the
+    truncation edge must stay below 1e-6 (else `CutoffExceeded`), and the
+    output must then pass the `DensityMatrix` check (else `PositivityLost`).
+    `StepDiagnostics.steps` counts the accepted steps completed at or before
+    the output time.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be > 0")
@@ -297,17 +413,11 @@ def evolve(
 
     states = [rho0]
     diags = [StepDiagnostics(0.0, tail_mass(rho0, margin), 0)]
-    y = np.array(rho0.elements, dtype=complex)
-    total_steps = 0
-    h_last: float | None = None
     times = grid.times
-    for idx in range(1, times.shape[0]):
+    y0 = np.array(rho0.elements, dtype=complex)
+    samples = _linear_dp5(rhs, y0, times, rtol, atol, project=repair)
+    for idx, (y, steps) in enumerate(samples, start=1):
         ta, tb = float(times[idx - 1]), float(times[idx])
-        drift_acc = 0.0
-        y, steps, h_last = _adaptive_rk(
-            rhs, y, ta, tb, rtol, atol, on_accept=repair, h_init=h_last
-        )
-        total_steps += steps
         budget = 1e-8 * max(1.0, tb - ta)
         if drift_acc > budget:
             raise DriftTooLarge(
@@ -326,7 +436,8 @@ def evolve(
         except ValueError as exc:
             raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
         states.append(state)
-        diags.append(StepDiagnostics(drift_acc, tm, total_steps))
+        diags.append(StepDiagnostics(drift_acc, tm, steps))
+        drift_acc = 0.0
     return Trajectory(times=grid, states=tuple(states), diagnostics=tuple(diags))
 
 

@@ -44,27 +44,53 @@ _LANCZOS_P = (
     1.5056327351493116e-7,
 )
 
+_LOG_PI = math.log(math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
 _MAX_TERMS = 100000
+
+
+def _nonpositive_integer(z: complex) -> bool:
+    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
+
+
+def _lanczos_sum(z: complex) -> complex:
+    acc = _LANCZOS_P[0]
+    for i, p in enumerate(_LANCZOS_P[1:], start=1):
+        acc += p / (z + i)
+    return acc
 
 
 def complex_gamma(z: complex) -> complex:
     """Gamma function for complex argument (Lanczos + reflection)."""
     z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+    if _nonpositive_integer(z):
         raise PoleAtNonpositiveInteger(f"Gamma pole at z = {z}")
     if z.real < 0.5:
         # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
         return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
     z -= 1.0
-    acc = _LANCZOS_P[0]
-    for i, p in enumerate(_LANCZOS_P[1:], start=1):
-        acc += p / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * _lanczos_sum(z)
 
 
-def _nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
+def complex_lgamma(z: complex) -> complex:
+    """A logarithm of Gamma(z) for complex z, finite far past Gamma's overflow.
+
+    The Lanczos form of `complex_gamma` taken term by term in log space, with
+    reflection for Re z < 0.5.  The imaginary part may differ from the
+    principal log Gamma by a multiple of 2 pi, so exp(complex_lgamma(z)) is
+    Gamma(z).
+    """
+    z = complex(z)
+    if _nonpositive_integer(z):
+        raise PoleAtNonpositiveInteger(f"Gamma pole at z = {z}")
+    if z.real < 0.5:
+        # reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1-z)
+        return _LOG_PI - cmath.log(cmath.sin(math.pi * z)) - complex_lgamma(1.0 - z)
+    z -= 1.0
+    t = z + _LANCZOS_G + 0.5
+    return _HALF_LOG_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(z))
 
 
 def _hyper_0f2_raw(a: complex, b: complex, z: float) -> tuple[complex, float]:
@@ -144,9 +170,9 @@ class SteadyParams:
 def steady_density(params: OscillatorParams, cutoff: FockCutoff) -> DensityMatrix:
     """Assemble the closed-form steady-state density matrix.
 
-    Elements are built in log space (factorials and Gamma prefactors as
-    complex logarithms, exponentiated once) so the assembly stays finite well
-    beyond the n ~ 170 factorial overflow.  The result is hermitized and
+    Elements are built in log space (factorials by `math.lgamma`, Gamma
+    prefactors by `complex_lgamma`, exponentiated once) so the assembly stays
+    finite well beyond the n ~ 145 point where Gamma(lam + n) overflows.  The result is hermitized and
     renormalized inside a strict drift budget; the pre-renormalization trace
     sitting at 1 is an end-to-end check of the special-function stack and is
     enforced here.
@@ -167,8 +193,8 @@ def steady_density(params: OscillatorParams, cutoff: FockCutoff) -> DensityMatri
     ln_eps = cmath.log(eps)
     z1 = abs(eps) ** 2
     lgam = [math.lgamma(k + 1) for k in range(dim)]
-    ln_gamma_col = [cmath.log(complex_gamma(np.conj(lam) + m)) for m in range(dim)]
-    ln_gamma_row = [cmath.log(complex_gamma(lam + n)) for n in range(dim)]
+    ln_gamma_col = [complex_lgamma(np.conj(lam) + m) for m in range(dim)]
+    ln_gamma_row = [complex_lgamma(lam + n) for n in range(dim)]
     el = np.empty((dim, dim), dtype=complex)
     for n in range(dim):
         for m in range(dim):
@@ -222,7 +248,7 @@ def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:
         cmath.log(sp.norm_c)
         + n * ln_eps
         + m * np.conj(ln_eps)
-        - cmath.log(complex_gamma(np.conj(lam) + m))
-        - cmath.log(complex_gamma(lam + n))
+        - complex_lgamma(np.conj(lam) + m)
+        - complex_lgamma(lam + n)
     )
     return cmath.exp(ln_pref) * hyper_0f2(np.conj(lam) + m, lam + n, z2)

@@ -1,8 +1,8 @@
 """Scenario configuration, runner artifacts, and the command-line interface.
 
 Covers schema validation messages, canonical-serialization idempotence,
-byte-level determinism of run artifacts (including under grid threading),
-file header structure, greymap rendering, and the CLI exit-code contract.
+byte-level determinism of run artifacts, file header structure, greymap
+rendering, and the CLI exit-code contract.
 """
 
 from __future__ import annotations
@@ -529,6 +529,12 @@ class TestCli:
         code = main(["steady", "--G", "0.2", "--gamma0", "1.0", "--p", "5,0", "--cutoff", "15"])
         assert code == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+    def test_steady_past_gamma_overflow(self, capsys):
+        # Gamma(lam + n) overflows near n = 145; the assembly works in log space
+        code = main(["steady", "--G", "0.2", "--gamma0", "1", "--p", "20,0", "--cutoff", "180"])
+        assert code == 0
+        assert "mean_n" in capsys.readouterr().out
 
     def test_render_subcommand(self, tmp_path, capsys):
         src = tmp_path / "g.grid"

@@ -3,7 +3,10 @@
 The master-equation integrator is checked against exact special cases (pure
 Kerr phases, driven-damped coherent states), the classical ODE against its
 pump-free closed form, and the linearized noise ODE against its algebraic
-fixed point.  Complete-positivity invariants run under hypothesis.
+fixed point.  The Krylov form of the DP5 step is checked against the stage
+form, against exp(Lambda t) at its samples, and for a step sequence that does
+not depend on the output grid.  Complete-positivity invariants run under
+hypothesis.
 """
 
 from __future__ import annotations
@@ -16,11 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kerrosc.dynamics as dynamics
 from kerrosc.dynamics import (
+    _DP_A,
+    _KRYLOV_E,
+    _KRYLOV_R,
     SemiclassicalPath,
     TimeGrid,
     Trajectory,
     _adaptive_rk,
+    _initial_step,
+    _linear_dp5,
     classical_path,
     evolve,
     kerr_lossless_evolve,
@@ -501,3 +510,97 @@ class TestAdaptiveRK:
         exact = y0 * np.exp(lam * t1)
         assert steps > 0 and h > 0.0
         np.testing.assert_allclose(y, exact, rtol=20 * rtol, atol=atol)
+
+
+def stage_form_dp5(lmat: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+    """One DP5 step of y' = L y written out stage by stage."""
+    k: list[np.ndarray] = []
+    for row in _DP_A:
+        yi = y + h * sum((a * kj for a, kj in zip(row, k)), np.zeros_like(y))
+        k.append(lmat @ yi)
+    # the last stage row holds the 5th-order weights
+    return y + h * sum((b * kj for b, kj in zip(_DP_A[6], k)), np.zeros_like(y))
+
+
+def _identity(y: np.ndarray) -> np.ndarray:
+    return y
+
+
+class TestKrylovDP5:
+    def test_step_polynomial_coefficients(self):
+        expected = [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0]
+        np.testing.assert_allclose(_KRYLOV_R, expected, rtol=1e-15, atol=0.0)
+        assert _KRYLOV_R[7] == 0.0
+        # the error polynomial starts at h^5: the embedded pair agrees to 4th order
+        assert np.all(np.abs(_KRYLOV_E[:5]) < 1e-16)
+        np.testing.assert_allclose(
+            _KRYLOV_E[5:], [-97 / 120000, 13 / 40000, -1 / 24000], rtol=1e-13
+        )
+
+    def test_one_step_matches_stage_form(self):
+        rng = np.random.default_rng(6)
+        lmat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        rtol, atol = 1e-8, 1e-10
+        # grid end at the first trial step: one step, with a sample inside it
+        h = _initial_step(y0, lmat @ y0, 1.0, rtol, atol)
+        times = np.array([0.0, h / 3, h])
+        out = list(_linear_dp5(lambda y: lmat @ y, y0, times, rtol, atol, _identity))
+        assert [steps for _, steps in out] == [0, 1]
+        for (got, _), t in zip(out, times[1:]):
+            ref = stage_form_dp5(lmat, y0, float(t))
+            assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+    def test_samples_match_exponential(self):
+        lam = np.array([-1.0, 0.3 - 1.5j, -0.05 + 4.0j])
+        y0 = np.array([2.0 + 0.0j, -1.0 + 1.0j, 0.5j])
+        rtol, atol = 1e-9, 1e-12
+        times = np.linspace(0.0, 2.5, 101)
+        out = list(_linear_dp5(lambda y: lam * y, y0, times, rtol, atol, _identity))
+        assert len(out) == 100
+        for (got, _), t in zip(out, times[1:]):
+            np.testing.assert_allclose(got, y0 * np.exp(lam * t), rtol=20 * rtol, atol=atol)
+        # samples do not cut steps: the stage form over the whole span takes
+        # the same steps under the shared controller
+        _, stage_steps, _ = _adaptive_rk(lambda y: lam * y, y0, 0.0, 2.5, rtol, atol)
+        assert out[-1][1] == stage_steps
+        counts = [steps for _, steps in out]
+        assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+    def test_final_state_independent_of_sampling(self):
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
+        sparse = evolve(rho0, params, TimeGrid.uniform(2.0, 2))
+        dense = evolve(rho0, params, TimeGrid.uniform(2.0, 201))
+        assert np.array_equal(sparse.states[-1].elements, dense.states[-1].elements)
+        assert sparse.diagnostics[-1].steps == dense.diagnostics[-1].steps
+
+    def test_six_rhs_calls_per_step_and_free_rejections(self, monkeypatch):
+        calls = 0
+        norms: list[float] = []
+        generator = dynamics.liouvillian_generator
+        error_norm = dynamics._error_norm
+
+        def counting_generator(params, dim):
+            rhs = generator(params, dim)
+
+            def counted(r):
+                nonlocal calls
+                calls += 1
+                return rhs(r)
+
+            return counted
+
+        def recording_norm(*args):
+            norms.append(error_norm(*args))
+            return norms[-1]
+
+        monkeypatch.setattr(dynamics, "liouvillian_generator", counting_generator)
+        monkeypatch.setattr(dynamics, "_error_norm", recording_norm)
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
+        traj = evolve(rho0, params, TimeGrid.uniform(2.0, 51))
+        steps = traj.diagnostics[-1].steps
+        assert sum(err > 1.0 for err in norms) > 0  # some steps were rejected
+        assert len(norms) - steps == sum(err > 1.0 for err in norms)
+        assert calls == 1 + 6 * steps

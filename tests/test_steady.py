@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -29,6 +30,7 @@ from kerrosc.measures import moments, photon_distribution
 from kerrosc.steady import (
     SteadyParams,
     complex_gamma,
+    complex_lgamma,
     hyper_0f2,
     hyper_0f2_diagnostic,
     steady_density,
@@ -81,6 +83,37 @@ class TestComplexGamma:
     def test_negative_noninteger_real(self):
         # Gamma(-0.5) = -2 sqrt(pi) via reflection
         assert complex_gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
+
+
+class TestComplexLgamma:
+    @pytest.mark.parametrize(
+        "z",
+        [0.5, 3.0, 1.0 + 0.1j, 0.3 + 5.0j, 5.0j, -5.0j, 7.5j, -0.5, -2.5 + 1.0j,
+         -3.3 - 0.2j, 10.0 - 3.0j, 40.0 + 5.0j],
+    )
+    def test_exponential_matches_complex_gamma(self, z):
+        assert cmath.exp(complex_lgamma(z)) == pytest.approx(complex_gamma(z), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [0, 1, 45, 144, 180, 300])
+    def test_matches_mpmath_past_gamma_overflow(self, n):
+        # the closed form's arguments lam + n at the bundled point, lam = -5i
+        z = -5.0j + n
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.loggamma(mpmath.mpc(z)))
+        diff = complex_lgamma(z) - oracle
+        # equal up to a multiple of 2 pi i
+        winding = round(diff.imag / (2.0 * math.pi))
+        assert abs(diff - 2j * math.pi * winding) <= 1e-14 * max(1.0, abs(oracle))
+
+    def test_finite_past_double_overflow(self):
+        value = complex_lgamma(180.0 - 5.0j)
+        assert cmath.isfinite(value)
+        assert value.real > math.log(sys.float_info.max)  # |Gamma| is not a double
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
+    def test_poles_raise(self, z):
+        with pytest.raises(PoleAtNonpositiveInteger):
+            complex_lgamma(z)
 
 
 def fraction_0f2(a: Fraction, b: Fraction, z: Fraction, terms: int) -> Fraction:
@@ -228,6 +261,23 @@ class TestSteadyDensity:
         np.testing.assert_allclose(
             photon_distribution(rho_rot), photon_distribution(rho_ref), atol=1e-12
         )
+
+
+class TestSteadyDensityLargeCutoff:
+    """Cutoffs past n ~ 143, where Gamma(lam + n) overflows a double."""
+
+    def test_bundled_point_at_cutoff_160(self, ref_params, steady_rho_45):
+        rho = steady_density(ref_params, FockCutoff(160))
+        assert rho.dim == 161
+        # the extra levels carry no weight: the low block matches n_cut 45
+        np.testing.assert_allclose(
+            rho.elements[:46, :46], steady_rho_45.elements, rtol=0.0, atol=1e-12
+        )
+
+    def test_strong_pump_at_cutoff_180(self):
+        params = OscillatorParams(pump=20.0 + 0j, kerr=0.2, loss=1.0)
+        rho = steady_density(params, FockCutoff(180))
+        assert moments(rho).mean_n == pytest.approx(steady_moment(1, 1, params).real, rel=1e-10)
 
 
 class TestSteadyMoment:
