@@ -3,8 +3,9 @@
 
 Each bundled scenario reproduces one figure-style artifact (time series,
 phase-space grids, or report tables).  Grids are also rendered to portable
-greymaps unless --no-render is given.  The heavy scenarios (pumped
-evolutions to t = 10..20) dominate the runtime; expect a few minutes total.
+greymaps unless --no-render is given.  The pumped evolutions to t = 10..20
+dominate the runtime; with --no-render the sweep takes about 10 s on a
+2-vCPU machine.
 """
 
 from __future__ import annotations

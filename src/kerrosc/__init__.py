@@ -43,6 +43,7 @@ from .dynamics import (
     linear_damping_amplitude,
     linearized_noise_path,
     liouvillian_apply,
+    unpumped_evolve,
 )
 from .errors import (
     ConfigInvalid,
@@ -51,6 +52,7 @@ from .errors import (
     DimensionMismatch,
     DriftTooLarge,
     EigSolverFailure,
+    GammaOverflow,
     IndexOutOfRange,
     IntegrationFailure,
     InvalidOrder,
@@ -62,6 +64,7 @@ from .errors import (
     NonpositiveKs,
     PoleAtNonpositiveInteger,
     PositivityLost,
+    PumpNotZero,
     SParamOutOfRange,
     StepSizeUnderflow,
     SupportMismatch,

@@ -25,7 +25,10 @@ step [t, t + h] is read off the same polynomial as sum_j r_j s^j v_j, which is
 the DP5 step of size s from y, so the step sequence and the final state do not
 depend on the output grid.
 
-Alongside it live the closed-form maps used as oracles and cheap
+Without pump the master equation has an exact solution, each diagonal of rho
+evolving on its own; `unpumped_evolve` evaluates it at the sample times with
+no integration and passes every output through the same guards as `evolve`.
+Alongside them live the closed-form maps used as oracles and cheap
 approximations: the lossless Kerr phase map, the linear-damping amplitude, and
 the nonlinear classical amplitude and linearized noise-moment ODEs, which use
 the stage form of the same tableau and step-size controller.
@@ -39,7 +42,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import CutoffExceeded, DriftTooLarge, PositivityLost, StepSizeUnderflow
+from .errors import (
+    CutoffExceeded,
+    DriftTooLarge,
+    PositivityLost,
+    PumpNotZero,
+    StepSizeUnderflow,
+)
 from .fock import (
     DensityMatrix,
     FockCutoff,
@@ -372,40 +381,31 @@ def liouvillian_apply(rho: DensityMatrix, params: OscillatorParams) -> np.ndarra
     return liouvillian_generator(params, rho.dim)(np.array(rho.elements))
 
 
-def evolve(
+def _guarded_trajectory(
     rho0: DensityMatrix,
-    params: OscillatorParams,
     grid: TimeGrid,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    tail_margin: int = 5,
+    tail_margin: int,
+    samples: Callable[
+        [Callable[[np.ndarray], np.ndarray]], Iterator[tuple[np.ndarray, int]]
+    ],
 ) -> Trajectory:
-    """Master-equation evolution of rho0 recorded at the grid times.
+    """Record rho0 and the samples at grid.times[1:] behind the output guards.
 
-    One adaptive DP5 integration in Krylov form runs from 0 to the last grid
-    time; the grid only says where to sample it.  A sample inside a step is
-    the DP5 step from the step's start to the sample time, read off the step
-    polynomial, so samples are fifth order and never shorten a step: the step
-    sequence and the final state do not depend on how densely the grid
-    samples.  Every accepted step and every sample is hermitized and
-    renormalized.  At each output, in time order: the pre-renormalization
-    trace drift accumulated since the previous output (accepted steps ending
-    in the segment plus the sample itself) must stay below 1e-8 per unit time
-    (else `DriftTooLarge`), the population within `tail_margin` entries of the
-    truncation edge must stay below 1e-6 (else `CutoffExceeded`), and the
-    output must then pass the `DensityMatrix` check (else `PositivityLost`).
-    `StepDiagnostics.steps` counts the accepted steps completed at or before
-    the output time.
+    `samples(project)` yields (sample, steps) in time order.  `project`
+    hermitizes and renormalizes a raw state and adds its |trace - 1| to the
+    drift of the current output segment; every state a source produces
+    (for DP5, each accepted step as well as each sample) goes through it.
+    At each output, in time order: the drift since the previous output must
+    stay below 1e-8 per unit time (else `DriftTooLarge`), the population
+    within `tail_margin` entries of the truncation edge below 1e-6 (else
+    `CutoffExceeded`), and the sample must then pass the `DensityMatrix`
+    check (else `PositivityLost`).
     """
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be > 0")
     dim = rho0.dim
-    rhs = liouvillian_generator(params, dim)
     margin = min(tail_margin, dim - 1)
-
     drift_acc = 0.0
 
-    def repair(y: np.ndarray) -> np.ndarray:
+    def project(y: np.ndarray) -> np.ndarray:
         nonlocal drift_acc
         tr = np.trace(y).real
         drift_acc += abs(tr - 1.0)
@@ -414,9 +414,7 @@ def evolve(
     states = [rho0]
     diags = [StepDiagnostics(0.0, tail_mass(rho0, margin), 0)]
     times = grid.times
-    y0 = np.array(rho0.elements, dtype=complex)
-    samples = _linear_dp5(rhs, y0, times, rtol, atol, project=repair)
-    for idx, (y, steps) in enumerate(samples, start=1):
+    for idx, (y, steps) in enumerate(samples(project), start=1):
         ta, tb = float(times[idx - 1]), float(times[idx])
         budget = 1e-8 * max(1.0, tb - ta)
         if drift_acc > budget:
@@ -439,6 +437,127 @@ def evolve(
         diags.append(StepDiagnostics(drift_acc, tm, steps))
         drift_acc = 0.0
     return Trajectory(times=grid, states=tuple(states), diagnostics=tuple(diags))
+
+
+def evolve(
+    rho0: DensityMatrix,
+    params: OscillatorParams,
+    grid: TimeGrid,
+    rtol: float = 1e-8,
+    atol: float = 1e-10,
+    tail_margin: int = 5,
+) -> Trajectory:
+    """Master-equation evolution of rho0 recorded at the grid times.
+
+    One adaptive DP5 integration in Krylov form runs from 0 to the last grid
+    time; the grid only says where to sample it.  A sample inside a step is
+    the DP5 step from the step's start to the sample time, read off the step
+    polynomial, so samples are fifth order and never shorten a step: the step
+    sequence and the final state do not depend on how densely the grid
+    samples.  Every accepted step and every sample is hermitized and
+    renormalized, and each output passes the drift, tail-mass and positivity
+    guards of `_guarded_trajectory` (`DriftTooLarge`, `CutoffExceeded`,
+    `PositivityLost`).  `StepDiagnostics.steps` counts the accepted steps
+    completed at or before the output time.
+    """
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("rtol and atol must be > 0")
+    rhs = liouvillian_generator(params, rho0.dim)
+    y0 = np.array(rho0.elements, dtype=complex)
+    return _guarded_trajectory(
+        rho0,
+        grid,
+        tail_margin,
+        lambda project: _linear_dp5(rhs, y0, grid.times, rtol, atol, project),
+    )
+
+
+def _unpumped_map(
+    rho0: np.ndarray, params: OscillatorParams, times: np.ndarray
+) -> np.ndarray:
+    """Exact rho(t) without pump at each of `times`, shape (len(times), dim, dim).
+
+    Each diagonal k = n - m evolves on its own (Milburn & Holmes, PRL 56,
+    2237 (1986)).  With x_m = rho_{m,m+k}, lam_m = iGk(2m+k-1) - gamma0(2m+k)
+    and beta_k = gamma0 (1 - exp(-2(gamma0 - iGk)t)) / (gamma0 - iGk),
+
+        x_m(t) = exp(lam_m t) sum_j w_mj beta_k^j x_{m+j}(0),
+        w_mj = sqrt(C(m+j, m) C(m+j+k, m+k)).
+
+    For each k one (samples, L) @ (L, L) product of the powers beta_k^j with
+    the weighted start values w_mj x_{m+j}(0) covers every sample time; the
+    lower triangle is its conjugate.  exp(lam_m t) = a_m a*_{m+k} with
+    a_m = exp(-t(iG m(m-1) + gamma0 m)) then scales the whole matrix, as in
+    the lossless Kerr map, which is the case beta_k = 0 (gamma0 = 0).  The
+    square-root binomials come from lgamma and stay finite up to n_cut about
+    2000; a weighted start value, at most about 2^n |rho_nn|, stays finite
+    while the populated levels n stay below about 1000.  |beta_k| <= 1 -
+    exp(-2 gamma0 t), so each term is bounded by its pure-loss counterpart
+    and the sum does not cancel.
+    """
+    dim = rho0.shape[0]
+    kerr, loss = params.kerr, params.loss
+    t = np.asarray(times, dtype=float)
+    levels = np.arange(dim)
+    # root_binom[a, j] = sqrt(C(a + j, j)) for a + j < dim, else 0, so that
+    # w_mj = root_binom[m, j] root_binom[m + k, j] vanishes past the edge
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(2 * dim - 1)])
+    a_plus_j = levels[:, None] + levels[None, :]
+    log_root = 0.5 * (log_fact[a_plus_j] - log_fact[:dim, None] - log_fact[None, :dim])
+    root_binom = np.exp(np.where(a_plus_j < dim, log_root, -np.inf))
+    # start[k, m, j] = rho0[m + j, m + j + k], zero past the edge: a strided
+    # view of a zero-padded copy
+    padded = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    padded[:dim, :dim] = rho0
+    row, col = padded.strides
+    start = np.lib.stride_tricks.as_strided(
+        padded, shape=(dim, dim, dim), strides=(col, row + col, row + col),
+        writeable=False,
+    )
+    # beta[s, k] = beta_k(t_s); 0 without loss (rate 0 on k = 0 there)
+    beta = np.zeros((t.shape[0], dim), dtype=complex)
+    if loss:
+        rate = loss - 1j * kerr * levels
+        beta = -loss * np.expm1(-2.0 * np.outer(t, rate)) / rate
+    # powers[s, k, j] = beta[s, k]^j
+    powers = np.ones((t.shape[0], dim, dim), dtype=complex)
+    powers[:, :, 1:] = beta[:, :, None]
+    np.multiply.accumulate(powers, axis=2, out=powers)
+    out = np.empty((t.shape[0], dim, dim), dtype=complex)
+    flat = out.reshape(t.shape[0], dim * dim)
+    for k in range(dim):
+        size = dim - k
+        # start values first: an empty level zeroes its weight before the
+        # second factor can overflow it
+        weighted = root_binom[:size, :size] * start[k, :size, :size] * root_binom[k:, :size]
+        x = powers[:, k, :size] @ weighted.T
+        # flat indices of rho_{m+k,m} and rho_{m,m+k}; on k = 0 the second wins
+        flat[:, k * dim :: dim + 1] = x.conj()
+        flat[:, k : k + size * (dim + 1) : dim + 1] = x
+    phase = np.exp(np.outer(t, -1j * kerr * levels * (levels - 1.0) - loss * levels))
+    out *= phase[:, :, None]
+    out *= phase.conj()[:, None, :]
+    return out
+
+
+def unpumped_evolve(
+    rho0: DensityMatrix,
+    params: OscillatorParams,
+    grid: TimeGrid,
+    tail_margin: int = 5,
+) -> Trajectory:
+    """Exact evolution of rho0 at the grid times for an oscillator without pump.
+
+    The closed form of `_unpumped_map` replaces the integrator; each output
+    is hermitized, renormalized and checked exactly as in `evolve`, and
+    `StepDiagnostics.steps` is 0.  Raises `PumpNotZero` for pump != 0.
+    """
+    if params.pump != 0:
+        raise PumpNotZero(f"the exact map needs pump = 0, got {params.pump}")
+    raw = _unpumped_map(rho0.elements, params, grid.times[1:])
+    return _guarded_trajectory(
+        rho0, grid, tail_margin, lambda project: ((project(y), 0) for y in raw)
+    )
 
 
 def kerr_lossless_evolve(psi0: StateVector, kerr: float, t: float) -> StateVector:

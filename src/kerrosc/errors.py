@@ -45,6 +45,10 @@ class PositivityLost(KerrOscError):
     """Evolved matrix failed the density-matrix check (eigenvalue floor)."""
 
 
+class PumpNotZero(KerrOscError):
+    """The exact unpumped map was asked to evolve a pumped oscillator."""
+
+
 class IntegrationFailure(KerrOscError):
     """A scenario-level wrapper for any evolution failure."""
 
@@ -81,6 +85,10 @@ class NonpositiveKs(KerrOscError):
 
 class PoleAtNonpositiveInteger(KerrOscError):
     """Gamma (or a series parameter) evaluated at a nonpositive integer."""
+
+
+class GammaOverflow(KerrOscError):
+    """|Gamma(z)| lies beyond the double-precision range."""
 
 
 class NonconvergenceWithinMaxTerms(KerrOscError):

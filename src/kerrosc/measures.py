@@ -262,7 +262,7 @@ def relative_entropy_eig(
     if rho.dim != sw.shape[0]:
         raise DimensionMismatch(f"dims {rho.dim} != {sw.shape[0]}")
     # weight of rho along each sigma eigenvector
-    rho_diag = np.einsum("ij,jk,ki->i", sv.conj().T, rho.elements, sv).real
+    rho_diag = np.einsum("ji,ji->i", sv.conj(), rho.elements @ sv).real
     outside = float(np.sum(rho_diag[sw < _LOG_FLOOR]))
     if outside > 1e-6:
         raise SupportMismatch(

@@ -29,11 +29,10 @@ from .config import (
 from .dynamics import (
     TimeGrid,
     Trajectory,
-    StepDiagnostics,
     classical_path,
     evolve,
-    kerr_lossless_evolve,
     linearized_noise_path,
+    unpumped_evolve,
 )
 from .errors import (
     CutoffExceeded,
@@ -177,27 +176,16 @@ def _union_grid(config: ScenarioConfig) -> TimeGrid:
     return TimeGrid(times)
 
 
-def _pure_kerr_trajectory(
-    psi0: StateVector, params: OscillatorParams, grid: TimeGrid
-) -> Trajectory:
-    # Without pump and loss the evolution is the exact Kerr phase map.
-    states = []
-    diags = []
-    for t in grid.times:
-        psi = kerr_lossless_evolve(psi0, params.kerr, float(t))
-        states.append(density_from_pure(psi))
-        diags.append(StepDiagnostics(trace_error=0.0, tail_mass=0.0, steps=0))
-    return Trajectory(times=grid, states=tuple(states), diagnostics=tuple(diags))
-
-
 def _compute_trajectory(
     config: ScenarioConfig, psi0: StateVector, grid: TimeGrid
 ) -> Trajectory:
+    # Without pump the evolution is the exact map; only pumped runs integrate.
     params = config.params
-    if params.pump == 0 and params.loss == 0.0:
-        return _pure_kerr_trajectory(psi0, params, grid)
+    rho0 = density_from_pure(psi0)
     try:
-        return evolve(density_from_pure(psi0), params, grid, rtol=_RTOL, atol=_ATOL)
+        if params.pump == 0:
+            return unpumped_evolve(rho0, params, grid)
+        return evolve(rho0, params, grid, rtol=_RTOL, atol=_ATOL)
     except (
         StepSizeUnderflow, DriftTooLarge, CutoffExceeded, PositivityLost
     ) as exc:

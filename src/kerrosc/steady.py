@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     CutoffTooSmall,
     DriftTooLarge,
+    GammaOverflow,
     KerrZero,
     NonconvergenceWithinMaxTerms,
     PoleAtNonpositiveInteger,
@@ -62,22 +63,21 @@ def _lanczos_sum(z: complex) -> complex:
 
 
 def complex_gamma(z: complex) -> complex:
-    """Gamma function for complex argument (Lanczos + reflection)."""
-    z = complex(z)
-    if _nonpositive_integer(z):
-        raise PoleAtNonpositiveInteger(f"Gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    z -= 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * _lanczos_sum(z)
+    """Gamma function for complex argument: the exponential of `complex_lgamma`.
+
+    Raises `GammaOverflow` where |Gamma(z)| exceeds the double range (from
+    about Re z = 171 on the real axis).
+    """
+    try:
+        return cmath.exp(complex_lgamma(z))
+    except OverflowError as exc:
+        raise GammaOverflow(f"|Gamma({complex(z)})| exceeds the double range") from exc
 
 
 def complex_lgamma(z: complex) -> complex:
     """A logarithm of Gamma(z) for complex z, finite far past Gamma's overflow.
 
-    The Lanczos form of `complex_gamma` taken term by term in log space, with
+    The Lanczos approximation taken term by term in log space, with
     reflection for Re z < 0.5.  The imaginary part may differ from the
     principal log Gamma by a multiple of 2 pi, so exp(complex_lgamma(z)) is
     Gamma(z).
@@ -140,6 +140,14 @@ def hyper_0f2_diagnostic(a: complex, b: complex, z: float) -> tuple[complex, flo
     return value, max_term / abs(value)
 
 
+def _require_kerr(params: OscillatorParams) -> None:
+    if params.kerr == 0.0:
+        raise KerrZero(
+            "closed-form steady state needs kerr != 0; for kerr = 0 the "
+            "steady state is the coherent state with amplitude pump/loss"
+        )
+
+
 @dataclass(frozen=True)
 class SteadyParams:
     """Reduced parameters of the closed-form steady state.
@@ -154,11 +162,7 @@ class SteadyParams:
 
     @classmethod
     def from_params(cls, params: OscillatorParams) -> "SteadyParams":
-        if params.kerr == 0.0:
-            raise KerrZero(
-                "closed-form steady state needs kerr != 0; for kerr = 0 the "
-                "steady state is the coherent state with amplitude pump/loss"
-            )
+        _require_kerr(params)
         eps = -1j * params.pump / params.kerr
         lam = -1j * params.loss / params.kerr
         f0 = hyper_0f2(np.conj(lam), lam, 2.0 * abs(eps) ** 2)
@@ -177,11 +181,7 @@ def steady_density(params: OscillatorParams, cutoff: FockCutoff) -> DensityMatri
     sitting at 1 is an end-to-end check of the special-function stack and is
     enforced here.
     """
-    if params.kerr == 0.0:
-        raise KerrZero(
-            "closed-form steady state needs kerr != 0; for kerr = 0 the "
-            "steady state is the coherent state with amplitude pump/loss"
-        )
+    _require_kerr(params)
     dim = cutoff.dim
     if params.pump == 0:
         el = np.zeros((dim, dim), dtype=complex)

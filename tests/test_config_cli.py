@@ -30,7 +30,7 @@ from kerrosc.config import (
     canonical_text,
     validate_config,
 )
-from kerrosc.errors import IoError
+from kerrosc.errors import IntegrationFailure, IoError
 from kerrosc.fock import FockCutoff, OscillatorParams
 from kerrosc.quasidist import QuasiGrid
 from kerrosc.runner import (
@@ -379,6 +379,47 @@ class TestRunScenario:
         _write_grid_file(path, ["# header"], grid, "0")
         body = path.read_text().splitlines()[-3:]
         assert body == [" ".join("%.17g" % (v,) for v in row) for row in values]
+
+
+UNPUMPED_YAML = """
+name: unpumped
+initial_state:
+  kind: coherent
+  alpha: [2.0, 1.0]
+params:
+  pump: [0.0, 0.0]
+  kerr: 0.5
+  loss: 0.3
+cutoff: 30
+time:
+  t_max: 2.0
+  snapshot_times: []
+  sample_count: 5
+outputs:
+  - kind: timeseries
+"""
+
+
+class TestUnpumpedRun:
+    def test_exact_map_takes_no_steps(self, tmp_path):
+        config = validate_config(UNPUMPED_YAML)
+        report = run_scenario(config, tmp_path)
+        assert report.steps == 0
+        lines = (tmp_path / "unpumped_timeseries.csv").read_text().splitlines()[6:]
+        for line in lines:
+            cells = [float(c) for c in line.split(",")]
+            t, mean_n, steps = cells[0], cells[1], cells[-1]
+            assert steps == 0.0
+            assert mean_n == pytest.approx(5.0 * math.exp(-0.6 * t), rel=1e-12)
+
+    def test_guard_failure_is_an_integration_failure(self, tmp_path):
+        text = UNPUMPED_YAML.replace(
+            "  kind: coherent\n  alpha: [2.0, 1.0]", "  kind: fock\n  n: 30"
+        )
+        config = validate_config(text)
+        assert isinstance(config, ScenarioConfig)
+        with pytest.raises(IntegrationFailure, match="tail mass"):
+            run_scenario(config, tmp_path)
 
 
 class TestSteadyTable:

@@ -5,7 +5,9 @@ Kerr phases, driven-damped coherent states), the classical ODE against its
 pump-free closed form, and the linearized noise ODE against its algebraic
 fixed point.  The Krylov form of the DP5 step is checked against the stage
 form, against exp(Lambda t) at its samples, and for a step sequence that does
-not depend on the output grid.  Complete-positivity invariants run under
+not depend on the output grid.  The exact unpumped map is checked against DP5
+at tight tolerances, the Kerr phase map and the damping distributions, also
+past the bundled cutoff.  Complete-positivity invariants run under
 hypothesis.
 """
 
@@ -37,8 +39,10 @@ from kerrosc.dynamics import (
     linearized_noise_path,
     liouvillian_apply,
     liouvillian_generator,
+    unpumped_evolve,
 )
-from kerrosc.errors import CutoffExceeded, KerrOscError, PositivityLost
+from kerrosc.analytics import coherent_damped_distribution, fock_damping_distribution
+from kerrosc.errors import CutoffExceeded, KerrOscError, PositivityLost, PumpNotZero
 from kerrosc.fock import (
     DensityMatrix,
     FockCutoff,
@@ -55,7 +59,7 @@ from kerrosc.gaussian import (
     linearized_coeffs,
     steady_noise_moments,
 )
-from kerrosc.measures import bures_distance, moments
+from kerrosc.measures import bures_distance, moments, photon_distribution
 
 
 class TestTimeGrid:
@@ -604,3 +608,91 @@ class TestKrylovDP5:
         assert sum(err > 1.0 for err in norms) > 0  # some steps were rejected
         assert len(norms) - steps == sum(err > 1.0 for err in norms)
         assert calls == 1 + 6 * steps
+
+
+def _max_element_diff(a: Trajectory, b: Trajectory) -> float:
+    return max(
+        float(np.max(np.abs(x.elements - y.elements))) for x, y in zip(a.states, b.states)
+    )
+
+
+class TestUnpumpedEvolve:
+    @pytest.mark.parametrize("kerr,loss", [(0.2, 1.0), (0.3, 0.5)])
+    def test_matches_dp5_at_tight_tolerances(self, kerr, loss):
+        params = OscillatorParams(pump=0.0j, kerr=kerr, loss=loss)
+        rho0 = density_from_pure(coherent_state(3.0 * np.exp(0.7j), FockCutoff(45)))
+        grid = TimeGrid.uniform(1.5, 16)
+        exact = unpumped_evolve(rho0, params, grid)
+        integrated = evolve(rho0, params, grid, rtol=1e-11, atol=1e-13)
+        assert _max_element_diff(exact, integrated) <= 1e-9
+
+    @pytest.mark.parametrize("n_cut,alpha", [(45, 3.0), (100, 6.0 - 2.0j)])
+    def test_lossless_is_the_kerr_phase_map(self, n_cut, alpha):
+        kerr = 1.0
+        params = OscillatorParams(pump=0.0j, kerr=kerr, loss=0.0)
+        psi0 = coherent_state(alpha, FockCutoff(n_cut))
+        grid = TimeGrid(np.array([0.0, math.pi / 8, math.pi / 3, math.pi / 2, 2.9]))
+        traj = unpumped_evolve(density_from_pure(psi0), params, grid)
+        for t, state in zip(grid.times, traj.states):
+            oracle = density_from_pure(kerr_lossless_evolve(psi0, kerr, float(t)))
+            assert float(np.max(np.abs(state.elements - oracle.elements))) <= 1e-13
+
+    @pytest.mark.parametrize("kerr", [0.0, 0.2])
+    def test_fock_diagonal_is_binomial(self, kerr):
+        n, loss = 9, 1.0
+        params = OscillatorParams(pump=0.0j, kerr=kerr, loss=loss)
+        grid = TimeGrid.uniform(2.0, 21)
+        traj = unpumped_evolve(density_from_pure(fock_state(n, FockCutoff(20))), params, grid)
+        for t, state in zip(grid.times, traj.states):
+            expected = fock_damping_distribution(n, loss, float(t))
+            diag = state.elements.diagonal().real
+            np.testing.assert_allclose(diag[: n + 1], expected, rtol=0.0, atol=1e-14)
+            assert np.all(diag[n + 1 :] == 0.0)
+
+    @pytest.mark.parametrize("n_cut,alpha", [(25, 1.5 + 0.5j), (100, 6.0)])
+    def test_coherent_distribution_is_poisson(self, n_cut, alpha):
+        loss = 0.8
+        cutoff = FockCutoff(n_cut)
+        params = OscillatorParams(pump=0.0j, kerr=0.4, loss=loss)
+        grid = TimeGrid.uniform(2.0, 11)
+        traj = unpumped_evolve(density_from_pure(coherent_state(alpha, cutoff)), params, grid)
+        for t, state in zip(grid.times, traj.states):
+            expected = coherent_damped_distribution(alpha, loss, float(t), cutoff)
+            np.testing.assert_allclose(photon_distribution(state), expected, rtol=0.0, atol=1e-13)
+
+    def test_hermitian_unit_trace_and_no_steps(self):
+        params = OscillatorParams(pump=0.0j, kerr=0.2, loss=1.0)
+        components = [(1.0 + 0.0j, 3.0 * np.exp(2j * math.pi * k / 3)) for k in range(3)]
+        rho0 = density_from_pure(coherent_superposition(components, FockCutoff(45)))
+        traj = unpumped_evolve(rho0, params, TimeGrid.uniform(5.0, 51))
+        # every output after the start is projected onto Hermitian matrices
+        for state, diag in zip(traj.states[1:], traj.diagnostics[1:]):
+            el = state.elements
+            assert np.array_equal(el, el.conj().T)
+            assert abs(complex(np.trace(el)) - 1.0) <= 1e-14
+            assert diag.steps == 0
+            assert diag.trace_error <= 1e-13
+
+    def test_raising_the_cutoff_keeps_the_leading_block(self):
+        # population only moves down, so levels above the start play no part
+        params = OscillatorParams(pump=0.0j, kerr=0.2, loss=1.0)
+        grid = TimeGrid.uniform(1.0, 11)
+        small = unpumped_evolve(density_from_pure(fock_state(9, FockCutoff(14))), params, grid)
+        large = unpumped_evolve(density_from_pure(fock_state(9, FockCutoff(120))), params, grid)
+        for a, b in zip(small.states, large.states):
+            np.testing.assert_allclose(b.elements[:15, :15], a.elements, rtol=0.0, atol=1e-15)
+
+    def test_pump_is_rejected(self):
+        rho0 = density_from_pure(coherent_state(1.0, FockCutoff(20)))
+        params = OscillatorParams(pump=0.5 + 0.0j, kerr=0.2, loss=1.0)
+        with pytest.raises(PumpNotZero):
+            unpumped_evolve(rho0, params, TimeGrid.uniform(1.0, 3))
+        assert issubclass(PumpNotZero, KerrOscError)
+
+    def test_tail_guard_is_shared_with_evolve(self):
+        # all population on the top level: the tail-mass guard fires at the
+        # first output, as it does for the integrator
+        rho0 = density_from_pure(fock_state(12, FockCutoff(12)))
+        params = OscillatorParams(pump=0.0j, kerr=0.2, loss=0.1)
+        with pytest.raises(CutoffExceeded):
+            unpumped_evolve(rho0, params, TimeGrid.uniform(0.1, 3))

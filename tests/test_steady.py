@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from kerrosc.errors import (
     DriftTooLarge,
+    GammaOverflow,
     KerrZero,
     NonconvergenceWithinMaxTerms,
     PoleAtNonpositiveInteger,
@@ -84,6 +85,15 @@ class TestComplexGamma:
         # Gamma(-0.5) = -2 sqrt(pi) via reflection
         assert complex_gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [150.0, 171.0])
+    def test_large_real_arguments_up_to_the_double_range(self, x):
+        assert complex_gamma(x) == pytest.approx(math.gamma(x), rel=1e-11)
+
+    def test_overflow_is_typed(self):
+        # |Gamma(180 - 5i)| is about 1e327, past the largest double
+        with pytest.raises(GammaOverflow):
+            complex_gamma(180.0 - 5.0j)
+
 
 class TestComplexLgamma:
     @pytest.mark.parametrize(
@@ -92,7 +102,10 @@ class TestComplexLgamma:
          -3.3 - 0.2j, 10.0 - 3.0j, 40.0 + 5.0j],
     )
     def test_exponential_matches_complex_gamma(self, z):
-        assert cmath.exp(complex_lgamma(z)) == pytest.approx(complex_gamma(z), rel=1e-13)
+        # complex_gamma is exp(complex_lgamma), so hold it to mpmath instead
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.gamma(mpmath.mpc(z)))
+        assert complex_gamma(z) == pytest.approx(oracle, rel=1e-13)
 
     @pytest.mark.parametrize("n", [0, 1, 45, 144, 180, 300])
     def test_matches_mpmath_past_gamma_overflow(self, n):
