@@ -92,6 +92,9 @@ _KRYLOV_R = np.array([1.0] + [_DP_A_MAT[6] @ v for v in _A_POWERS_ONE])
 _KRYLOV_E = np.array([0.0] + [_DP_ERR @ v for v in _A_POWERS_ONE])
 _KRYLOV_POWERS = np.arange(8.0)
 
+# levels below the truncation edge whose population the tail guard watches
+_TAIL_MARGIN = 5
+
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
@@ -384,7 +387,6 @@ def liouvillian_apply(rho: DensityMatrix, params: OscillatorParams) -> np.ndarra
 def _guarded_trajectory(
     rho0: DensityMatrix,
     grid: TimeGrid,
-    tail_margin: int,
     samples: Callable[
         [Callable[[np.ndarray], np.ndarray]], Iterator[tuple[np.ndarray, int]]
     ],
@@ -397,12 +399,12 @@ def _guarded_trajectory(
     (for DP5, each accepted step as well as each sample) goes through it.
     At each output, in time order: the drift since the previous output must
     stay below 1e-8 per unit time (else `DriftTooLarge`), the population
-    within `tail_margin` entries of the truncation edge below 1e-6 (else
+    within `_TAIL_MARGIN` entries of the truncation edge below 1e-6 (else
     `CutoffExceeded`), and the sample must then pass the `DensityMatrix`
     check (else `PositivityLost`).
     """
     dim = rho0.dim
-    margin = min(tail_margin, dim - 1)
+    margin = min(_TAIL_MARGIN, dim - 1)
     drift_acc = 0.0
 
     def project(y: np.ndarray) -> np.ndarray:
@@ -445,7 +447,6 @@ def evolve(
     grid: TimeGrid,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    tail_margin: int = 5,
 ) -> Trajectory:
     """Master-equation evolution of rho0 recorded at the grid times.
 
@@ -467,7 +468,6 @@ def evolve(
     return _guarded_trajectory(
         rho0,
         grid,
-        tail_margin,
         lambda project: _linear_dp5(rhs, y0, grid.times, rtol, atol, project),
     )
 
@@ -519,10 +519,6 @@ def _unpumped_map(
     if loss:
         rate = loss - 1j * kerr * levels
         beta = -loss * np.expm1(-2.0 * np.outer(t, rate)) / rate
-    # powers[s, k, j] = beta[s, k]^j
-    powers = np.ones((t.shape[0], dim, dim), dtype=complex)
-    powers[:, :, 1:] = beta[:, :, None]
-    np.multiply.accumulate(powers, axis=2, out=powers)
     out = np.empty((t.shape[0], dim, dim), dtype=complex)
     flat = out.reshape(t.shape[0], dim * dim)
     for k in range(dim):
@@ -530,7 +526,11 @@ def _unpumped_map(
         # start values first: an empty level zeroes its weight before the
         # second factor can overflow it
         weighted = root_binom[:size, :size] * start[k, :size, :size] * root_binom[k:, :size]
-        x = powers[:, k, :size] @ weighted.T
+        # powers[s, j] = beta[s, k]^j
+        powers = np.ones((t.shape[0], size), dtype=complex)
+        powers[:, 1:] = beta[:, k, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        x = powers @ weighted.T
         # flat indices of rho_{m+k,m} and rho_{m,m+k}; on k = 0 the second wins
         flat[:, k * dim :: dim + 1] = x.conj()
         flat[:, k : k + size * (dim + 1) : dim + 1] = x
@@ -544,7 +544,6 @@ def unpumped_evolve(
     rho0: DensityMatrix,
     params: OscillatorParams,
     grid: TimeGrid,
-    tail_margin: int = 5,
 ) -> Trajectory:
     """Exact evolution of rho0 at the grid times for an oscillator without pump.
 
@@ -556,7 +555,7 @@ def unpumped_evolve(
         raise PumpNotZero(f"the exact map needs pump = 0, got {params.pump}")
     raw = _unpumped_map(rho0.elements, params, grid.times[1:])
     return _guarded_trajectory(
-        rho0, grid, tail_margin, lambda project: ((project(y), 0) for y in raw)
+        rho0, grid, lambda project: ((project(y), 0) for y in raw)
     )
 
 

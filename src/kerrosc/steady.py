@@ -47,6 +47,7 @@ _LANCZOS_P = (
 
 _LOG_PI = math.log(math.pi)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)  # log(i/2)
 
 _MAX_TERMS = 100000
 
@@ -68,10 +69,27 @@ def complex_gamma(z: complex) -> complex:
     Raises `GammaOverflow` where |Gamma(z)| exceeds the double range (from
     about Re z = 171 on the real axis).
     """
+    log_gamma = complex_lgamma(z)
     try:
-        return cmath.exp(complex_lgamma(z))
+        return cmath.exp(log_gamma)
     except OverflowError as exc:
         raise GammaOverflow(f"|Gamma({complex(z)})| exceeds the double range") from exc
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """A logarithm of sin(pi z), finite where sin(pi z) itself overflows.
+
+    For Im z > 0, sin(w) = (i/2) e^{-iw} (1 - e^{2iw}) with w = pi z; past
+    |Im z| = 100 the last factor is 1 to double precision, so the log is
+    taken term by term (sin(pi z) overflows from |Im z| of about 226).
+    Im z < 0 follows by conjugation.  Up to a multiple of 2 pi i.
+    """
+    if abs(z.imag) <= 100.0:
+        return cmath.log(cmath.sin(math.pi * z))
+    if z.imag < 0.0:
+        return _log_sin_pi(z.conjugate()).conjugate()
+    w = math.pi * z
+    return -1j * w + cmath.log(1.0 - cmath.exp(2j * w)) + _LOG_HALF_I
 
 
 def complex_lgamma(z: complex) -> complex:
@@ -87,7 +105,7 @@ def complex_lgamma(z: complex) -> complex:
         raise PoleAtNonpositiveInteger(f"Gamma pole at z = {z}")
     if z.real < 0.5:
         # reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1-z)
-        return _LOG_PI - cmath.log(cmath.sin(math.pi * z)) - complex_lgamma(1.0 - z)
+        return _LOG_PI - _log_sin_pi(z) - complex_lgamma(1.0 - z)
     z -= 1.0
     t = z + _LANCZOS_G + 0.5
     return _HALF_LOG_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(z))

@@ -31,7 +31,7 @@ from kerrosc.config import (
     validate_config,
 )
 from kerrosc.errors import IntegrationFailure, IoError
-from kerrosc.fock import FockCutoff, OscillatorParams
+from kerrosc.fock import FockCutoff, OscillatorParams, coherent_state
 from kerrosc.quasidist import QuasiGrid
 from kerrosc.runner import (
     RunReport,
@@ -419,6 +419,32 @@ class TestUnpumpedRun:
         config = validate_config(text)
         assert isinstance(config, ScenarioConfig)
         with pytest.raises(IntegrationFailure, match="tail mass"):
+            run_scenario(config, tmp_path)
+
+    def test_lossless_run_reports_measured_guards(self, tmp_path):
+        # loss 0 is the exact map with beta = 0: populations stay put, so
+        # every row carries the start state's tail mass in levels 26-30
+        config = validate_config(UNPUMPED_YAML.replace("  loss: 0.3", "  loss: 0.0"))
+        assert run_scenario(config, tmp_path).steps == 0
+        psi0 = coherent_state(2.0 + 1.0j, FockCutoff(30))
+        tail0 = float(np.sum(np.abs(psi0.amplitudes[26:]) ** 2))
+        assert tail0 == pytest.approx(3.05e-11, rel=1e-3)
+        lines = (tmp_path / "unpumped_timeseries.csv").read_text().splitlines()[6:]
+        assert len(lines) == 5
+        for line in lines:
+            cells = [float(c) for c in line.split(",")]
+            mean_n, trace_error, tail, steps = cells[1], cells[-3], cells[-2], cells[-1]
+            assert mean_n == pytest.approx(5.0, rel=1e-12)
+            assert 0.0 <= trace_error <= 1e-14
+            assert tail == pytest.approx(tail0, rel=1e-12)
+            assert steps == 0.0
+
+    def test_lossless_tail_guard_checks_the_start_state(self, tmp_path):
+        # the coherent state fits n_cut 22 (tail beyond it < 1e-8), but 5.4e-6
+        # of it sits in the top five levels, past the 1e-6 tail guard
+        text = UNPUMPED_YAML.replace("  loss: 0.3", "  loss: 0.0")
+        config = validate_config(text.replace("cutoff: 30", "cutoff: 22"))
+        with pytest.raises(IntegrationFailure, match="tail mass 5.41"):
             run_scenario(config, tmp_path)
 
 

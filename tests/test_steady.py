@@ -94,6 +94,14 @@ class TestComplexGamma:
         with pytest.raises(GammaOverflow):
             complex_gamma(180.0 - 5.0j)
 
+    @pytest.mark.parametrize("z", [-0.5 + 300.0j, -0.5 - 300.0j, 0.2 + 150.0j])
+    def test_reflection_far_off_the_real_axis(self, z):
+        # sin(pi z) overflows from |Im z| of about 226, but |Gamma(-0.5 + 300i)|
+        # is a finite 1.8e-207
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.gamma(mpmath.mpc(z)))
+        assert complex_gamma(z) == pytest.approx(oracle, rel=1e-11)
+
 
 class TestComplexLgamma:
     @pytest.mark.parametrize(
@@ -117,6 +125,14 @@ class TestComplexLgamma:
         # equal up to a multiple of 2 pi i
         winding = round(diff.imag / (2.0 * math.pi))
         assert abs(diff - 2j * math.pi * winding) <= 1e-14 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("z", [-0.5 + 300.0j, -3.3 - 101.0j, 0.3 + 2000.0j])
+    def test_reflection_matches_mpmath_far_off_the_real_axis(self, z):
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.loggamma(mpmath.mpc(z)))
+        diff = complex_lgamma(z) - oracle
+        winding = round(diff.imag / (2.0 * math.pi))
+        assert abs(diff - 2j * math.pi * winding) <= 1e-14 * abs(oracle)
 
     def test_finite_past_double_overflow(self):
         value = complex_lgamma(180.0 - 5.0j)
