@@ -17,6 +17,7 @@ import numpy as np
 from kerrosc.dynamics import liouvillian_apply
 from kerrosc.errors import KerrOscError
 from kerrosc.fock import FockCutoff, OscillatorParams, default_cutoff, tail_mass
+from kerrosc.gaussian import steady_mean_estimate
 from kerrosc.measures import (
     fano,
     linear_entropy_and_purity,
@@ -41,9 +42,9 @@ def main(argv: list[str] | None = None) -> int:
     params = OscillatorParams(
         pump=complex(args.pump_re, args.pump_im), kerr=args.kerr, loss=args.loss
     )
-    suggested = default_cutoff(abs(params.pump / params.loss) ** 2)
+    suggested = default_cutoff(steady_mean_estimate(params))
     print(f"# pump={params.pump} kerr={params.kerr} loss={params.loss}")
-    print(f"# default_cutoff for |pump/loss|^2 photons: {suggested.n_cut}")
+    print(f"# default cutoff (as kerrosc steady picks it): {suggested.n_cut}")
     header = ("cutoff", "mean_n", "E", "L", "F", "S", "generator_resid", "tail5")
     print(("{:>7} " + "{:>13} " * 7).format(*header))
     for n_cut in range(args.min_cutoff, args.max_cutoff + 1, args.step):

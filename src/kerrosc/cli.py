@@ -16,7 +16,7 @@ from pathlib import Path
 from .config import canonical_text, validate_config
 from .errors import ConfigInvalid, IoError, KerrOscError
 from .fock import FockCutoff, OscillatorParams, default_cutoff
-from .gaussian import classical_steady_amplitude
+from .gaussian import steady_mean_estimate
 from .runner import render_grid, run_scenario, steady_table
 from .version import __version__
 
@@ -63,15 +63,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_steady(args: argparse.Namespace) -> int:
     params = OscillatorParams(pump=args.p, kerr=args.G, loss=args.gamma0)
-    if args.cutoff is not None:
-        cutoff = FockCutoff(args.cutoff)
-    else:
-        mean_est = (
-            abs(classical_steady_amplitude(params)) ** 2
-            if params.kerr != 0 or params.loss > 0
-            else 0.0
-        )
-        cutoff = default_cutoff(mean_est)
+    cutoff = (
+        FockCutoff(args.cutoff) if args.cutoff is not None
+        else default_cutoff(steady_mean_estimate(params))
+    )
     columns, rows = steady_table(params, cutoff)
     widths = [22, 24, 24, 24]
     print("".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())

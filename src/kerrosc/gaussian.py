@@ -23,11 +23,12 @@ from .errors import (
     UnstableLinearization,
     VacuumLimitWarning,
 )
-from .fock import FockCutoff, OscillatorParams
+from .fock import FockCutoff, OscillatorParams, density_from_pure
 from .measures import (
     linear_entropy_and_purity,
     moments,
     spectral_decomposition,
+    squeezing,
     von_neumann_entropy,
 )
 from .steady import steady_density
@@ -121,6 +122,17 @@ def classical_steady_amplitude(params: OscillatorParams) -> complex:
             deriv = 12.0 * g * g * intensity * intensity + g0 * g0
             intensity -= f(intensity) / deriv
     return p / (g0 + 2j * g * intensity)
+
+
+def steady_mean_estimate(params: OscillatorParams) -> float:
+    """Photon number to size a basis for the pumped stationary state.
+
+    |alpha|^2 of the classical stationary amplitude; 0 without pump, and 0
+    where no stationary amplitude exists (no loss and no Kerr).
+    """
+    if params.pump == 0 or (params.loss == 0.0 and params.kerr == 0.0):
+        return 0.0
+    return abs(classical_steady_amplitude(params)) ** 2
 
 
 def linearized_coeffs(alpha: complex, params: OscillatorParams) -> LinearizedCoeffs:
@@ -247,6 +259,53 @@ def strong_pump_estimates() -> StrongPumpEstimates:
 
 
 @dataclass(frozen=True)
+class SteadyRecord:
+    """Exact stationary scalars beside their Gaussian counterparts, by name.
+
+    Both sides hold mean_n, entropy, linear_entropy, squeeze_S, fano_F and
+    the descending eigenweights p0..p9; x is Gaussian only, and
+    leading_eig_squeeze (squeezing of the leading eigenvector) exact only.
+    """
+
+    exact: dict[str, float]
+    gaussian: dict[str, float]
+
+
+def steady_record(params: OscillatorParams, cutoff: FockCutoff) -> SteadyRecord:
+    """The closed-form state against the linearization around the classical
+    stationary amplitude: the one source of both steady-state tables."""
+    rho = steady_density(params, cutoff)
+    mom = moments(rho)
+    dec = spectral_decomposition(rho)
+    exact = {
+        "mean_n": mom.mean_n,
+        "entropy": von_neumann_entropy(rho),
+        "linear_entropy": linear_entropy_and_purity(rho)[0],
+        "squeeze_S": mom.squeezing(),
+        "fano_F": mom.fano(),
+        "leading_eig_squeeze": squeezing(density_from_pure(dec.eigenstates[0])),
+    }
+    alpha = classical_steady_amplitude(params)
+    gs = steady_noise_moments(linearized_coeffs(alpha, params), alpha=alpha)
+    x = gaussian_x(gs)
+    entropy, purity = gaussian_entropy_purity(x)
+    squeeze, fano = gaussian_S_F(gs)
+    gauss = {
+        "mean_n": float(abs(alpha) ** 2 + gs.B),
+        "entropy": entropy,
+        "linear_entropy": 1.0 - purity,
+        "squeeze_S": squeeze,
+        "fano_F": fano,
+        "x": x,
+    }
+    w_gauss = gaussian_weights(x, 9)
+    for k in range(10):
+        exact[f"p{k}"] = float(dec.weights[k]) if k < dec.weights.shape[0] else 0.0
+        gauss[f"p{k}"] = float(w_gauss[k])
+    return SteadyRecord(exact=exact, gaussian=gauss)
+
+
+@dataclass(frozen=True)
 class SteadyComparison:
     """Exact-versus-Gaussian stationary scalars, paired entry by entry."""
 
@@ -267,31 +326,10 @@ def gaussian_vs_exact_report(
     Reports (E, L, S, F, <n>, p0..p5) for both; eigenweights are paired by
     descending order.
     """
-    rho = steady_density(params, cutoff)
-    e_exact = von_neumann_entropy(rho)
-    l_exact, _ = linear_entropy_and_purity(rho)
-    mom = moments(rho)
-    s_exact = mom.squeezing()
-    f_exact = mom.fano()
-    n_exact = mom.mean_n
-    w_exact = spectral_decomposition(rho).weights
-
-    alpha = classical_steady_amplitude(params)
-    coeffs = linearized_coeffs(alpha, params)
-    gs = steady_noise_moments(coeffs, alpha=alpha)
-    x = gaussian_x(gs)
-    e_gauss, purity_gauss = gaussian_entropy_purity(x)
-    s_gauss, f_gauss = gaussian_S_F(gs)
-    w_gauss = gaussian_weights(x, 5)
-    n_gauss = abs(alpha) ** 2 + gs.B
-
+    record = steady_record(params, cutoff)
     labels = ("entropy", "linear_entropy", "squeeze_S", "fano_F", "mean_n") + tuple(
         f"p{k}" for k in range(6)
     )
-    exact = (e_exact, l_exact, s_exact, f_exact, n_exact) + tuple(
-        float(w_exact[k]) if k < w_exact.shape[0] else 0.0 for k in range(6)
+    return SteadyComparison(
+        labels, tuple(map(record.exact.get, labels)), tuple(map(record.gaussian.get, labels))
     )
-    gauss = (e_gauss, 1.0 - purity_gauss, s_gauss, f_gauss, float(n_gauss)) + tuple(
-        float(w) for w in w_gauss
-    )
-    return SteadyComparison(labels=labels, exact=exact, gaussian=gauss)

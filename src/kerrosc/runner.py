@@ -23,7 +23,6 @@ from .config import (
     QuasiGridOutput,
     ScenarioConfig,
     SteadyReportOutput,
-    SuperpositionInit,
     TimeseriesOutput,
 )
 from .dynamics import (
@@ -44,7 +43,6 @@ from .errors import (
     SupportMismatch,
 )
 from .fock import (
-    DensityMatrix,
     FockCutoff,
     OscillatorParams,
     StateVector,
@@ -55,14 +53,9 @@ from .fock import (
     fock_state,
 )
 from .gaussian import (
-    classical_steady_amplitude,
-    gaussian_entropy_purity,
-    gaussian_S_F,
     gaussian_vs_exact_report,
-    gaussian_weights,
-    gaussian_x,
-    linearized_coeffs,
-    steady_noise_moments,
+    steady_mean_estimate,
+    steady_record,
     strong_pump_estimates,
 )
 from .measures import (
@@ -71,7 +64,6 @@ from .measures import (
     moments,
     relative_entropy_eig,
     spectral_decomposition,
-    squeezing,
     target_eigenpairs,
     von_neumann_entropy,
 )
@@ -158,10 +150,7 @@ def _estimated_mean_n(config: ScenarioConfig) -> float:
         est = float(state.n)
     else:
         est = max(abs(a) ** 2 for _, a in state.components)
-    p = config.params
-    if p.pump != 0 and (p.loss > 0 or p.kerr != 0):
-        est = max(est, abs(classical_steady_amplitude(p)) ** 2)
-    return est
+    return max(est, steady_mean_estimate(config.params))
 
 
 def _scenario_cutoff(config: ScenarioConfig) -> FockCutoff:
@@ -256,41 +245,17 @@ def steady_table(
 ) -> tuple[list[str], list[list]]:
     """Rows (label, exact, gaussian, crude) for the steady-state report.
 
-    Exact values come from the closed-form stationary density matrix, the
-    Gaussian column from the linearized treatment, and the crude column from
-    the strong-pump limit; entries without a counterpart are None.
+    The exact and Gaussian columns come from `steady_record`, the crude
+    column from the strong-pump limit; entries without a counterpart are None.
     """
-    rho = steady_density(params, cutoff)
-    mom = moments(rho)
-    entropy = von_neumann_entropy(rho)
-    lin, _purity = linear_entropy_and_purity(rho)
-    dec = spectral_decomposition(rho)
-    lead_squeeze = squeezing(density_from_pure(dec.eigenstates[0]))
-
-    alpha = classical_steady_amplitude(params)
-    coeffs = linearized_coeffs(alpha, params)
-    gs = steady_noise_moments(coeffs, alpha=alpha)
-    x = gaussian_x(gs)
-    e_gauss, p_gauss = gaussian_entropy_purity(x)
-    s_gauss, f_gauss = gaussian_S_F(gs)
-    w_gauss = gaussian_weights(x, 9)
-    crude = strong_pump_estimates()
-
-    def weight(k: int) -> float:
-        return float(dec.weights[k]) if k < dec.weights.shape[0] else 0.0
-
-    rows: list[list] = [
-        ["mean_n", mom.mean_n, abs(alpha) ** 2 + gs.B, None],
-        ["entropy", entropy, e_gauss, crude.entropy],
-        ["linear_entropy", lin, 1.0 - p_gauss, crude.linear_entropy],
-        ["squeeze_S", mom.squeezing(), s_gauss, crude.squeeze_S],
-        ["fano_F", mom.fano(), f_gauss, crude.fano_F],
-        ["x", None, x, crude.x],
-        ["leading_eig_squeeze", lead_squeeze, None, None],
-    ]
-    for k in range(10):
-        crude_w = crude.weights[k] if k < len(crude.weights) else None
-        rows.append([f"p{k}", weight(k), float(w_gauss[k]), crude_w])
+    record = steady_record(params, cutoff)
+    est = strong_pump_estimates()
+    crude = {"entropy": est.entropy, "linear_entropy": est.linear_entropy,
+             "squeeze_S": est.squeeze_S, "fano_F": est.fano_F, "x": est.x}
+    crude.update((f"p{k}", w) for k, w in enumerate(est.weights))
+    labels = ["mean_n", "entropy", "linear_entropy", "squeeze_S", "fano_F", "x",
+              "leading_eig_squeeze"] + [f"p{k}" for k in range(10)]
+    rows = [[q, record.exact.get(q), record.gaussian.get(q), crude.get(q)] for q in labels]
     return ["quantity", "exact", "gaussian", "crude"], rows
 
 
@@ -335,14 +300,6 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
         if _needs_trajectory(config)
         else None
     )
-
-    rho_ss: DensityMatrix | None = None
-
-    def steady_state() -> DensityMatrix:
-        nonlocal rho_ss
-        if rho_ss is None:
-            rho_ss = steady_density(params, cutoff)
-        return rho_ss
 
     files: list[str] = []
 
@@ -401,7 +358,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 rows,
             )
         elif isinstance(spec, DistanceToSteadyOutput):
-            target_eig = target_eigenpairs(steady_state())
+            target_eig = target_eigenpairs(steady_density(params, cutoff))
             rows = []
             for t, state in zip(grid.times, traj.states):
                 try:
@@ -432,12 +389,13 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                         _fmt(t),
                     )
             else:
-                g = quasidistribution(steady_state(), spec.s, re_axis, im_axis)
+                rho_ss = steady_density(params, cutoff)  # cached across outputs
+                g = quasidistribution(rho_ss, spec.s, re_axis, im_axis)
                 _write_grid_file(
                     emit(f"{config.name}_grid{oi}_steady.grid"), header, g, "steady"
                 )
                 if spec.eigenvectors:
-                    dec = spectral_decomposition(steady_state())
+                    dec = spectral_decomposition(rho_ss)
                     for j in range(min(spec.eigenvectors, len(dec.eigenstates))):
                         gj = quasidistribution(
                             density_from_pure(dec.eigenstates[j]),

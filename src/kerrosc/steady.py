@@ -7,8 +7,11 @@ The closed-form density matrix
 
 with eps = -i p / G, lam = -i gamma0 / G and the normalization constant
 C = Gamma(lam*) Gamma(lam) / 0F2(lam*, lam; 2|eps|^2), together with the
-matching factorial-moment formula.  The required special functions (complex
-Gamma, generalized hypergeometric 0F2) are implemented here from scratch.
+matching factorial-moment formula.  The special functions are implemented
+here from scratch: a complex log Gamma, and one 0F2 series that runs
+elementwise over arrays, so the density matrix takes a single call.  C and
+every prefactor stay in log space, since Gamma(lam) underflows at weak Kerr
+and Gamma(lam + n) overflows at large n.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ _LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)  # log(i/2)
 _MAX_TERMS = 100000
 
 
-def _nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
+def _nonpositive_integer(z):
+    """Whether z (a scalar, or elementwise over an array) is 0, -1, -2, ..."""
+    return (np.imag(z) == 0.0) & (np.real(z) <= 0.0) & (np.real(z) == np.round(np.real(z)))
 
 
 def _lanczos_sum(z: complex) -> complex:
@@ -101,7 +105,7 @@ def complex_lgamma(z: complex) -> complex:
     Gamma(z).
     """
     z = complex(z)
-    if _nonpositive_integer(z):
+    if z.imag == 0.0 and _nonpositive_integer(z):  # the cheap test first
         raise PoleAtNonpositiveInteger(f"Gamma pole at z = {z}")
     if z.real < 0.5:
         # reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1-z)
@@ -111,51 +115,68 @@ def complex_lgamma(z: complex) -> complex:
     return _HALF_LOG_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(z))
 
 
-def _hyper_0f2_raw(a: complex, b: complex, z: float) -> tuple[complex, float]:
-    """0F2(a, b; z) series value and the max |term| seen (for diagnostics).
+def _hyper_0f2_series(a, b, z) -> tuple[np.ndarray, np.ndarray]:
+    """0F2(a, b; z) and the max |term| seen, elementwise over broadcast arrays.
 
-    Terms are built from running Pochhammer products (no Gamma ratios) and
-    accumulated with compensated (Kahan) summation: for complex parameters
-    the terms rotate in phase and can grow large before decaying.
+    Each element runs its own series: terms from running Pochhammer products
+    (no Gamma ratios), compensated (Kahan) summation, since for complex
+    parameters the terms rotate in phase and can grow large before decaying,
+    and a stop after three consecutive terms below 1e-16 of the sum.  Only
+    the elements still running are carried on, so a stopped one is final.
     """
-    if _nonpositive_integer(a) or _nonpositive_integer(b):
-        raise PoleAtNonpositiveInteger(f"series parameter pole: a={a}, b={b}")
-    if z < 0:
-        raise ValueError(f"series argument must be >= 0, got {z}")
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j  # Kahan compensation
-    term = 1.0 + 0.0j
-    max_term = 1.0
-    consecutive_small = 0
+    a, b, z = np.broadcast_arrays(
+        np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), np.asarray(z, dtype=float)
+    )
+    shape, a, b, z = a.shape, a.ravel(), b.ravel(), z.ravel()
+    if _nonpositive_integer(a).any() or _nonpositive_integer(b).any():
+        raise PoleAtNonpositiveInteger("0F2 series parameter at a pole 0, -1, -2, ...")
+    if (z < 0).any():
+        raise ValueError(f"series argument must be >= 0, got {float(z.min())}")
+    value, max_term = np.empty(a.size, dtype=complex), np.empty(a.size)
+    live = np.arange(a.size)
+    total, term = np.ones(a.size, dtype=complex), np.ones(a.size, dtype=complex)
+    comp = np.zeros(a.size, dtype=complex)  # Kahan compensation
+    peak, small = np.ones(a.size), np.zeros(a.size, dtype=int)
     k = 0
-    while consecutive_small < 3:
-        if k >= _MAX_TERMS:
-            raise NonconvergenceWithinMaxTerms(
-                f"0F2({a}, {b}; {z}) did not converge within {_MAX_TERMS} terms"
-            )
-        term = term * z / ((k + 1) * (a + k) * (b + k))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_term = max(max_term, abs(term))
-        k += 1
-        if abs(term) < 1e-16 * abs(total):
-            consecutive_small += 1
-        else:
-            consecutive_small = 0
-    return total, max_term
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        while live.size:
+            term = term * z / ((k + 1) * (a + k) * (b + k))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            k += 1
+            if k > _MAX_TERMS or not np.isfinite(total).all():
+                raise NonconvergenceWithinMaxTerms(
+                    f"0F2 series did not converge: past {_MAX_TERMS} terms or out of "
+                    f"the double range after {k} (z = {float(z.max())})"
+                )
+            mag = np.abs(term)
+            peak = np.maximum(peak, mag)
+            small = np.where(mag < 1e-16 * np.abs(total), small + 1, 0)
+            done = small >= 3
+            if done.any():
+                value[live[done]], max_term[live[done]] = total[done], peak[done]
+                live, a, b, z, total, comp, term, peak, small = (
+                    x[~done] for x in (live, a, b, z, total, comp, term, peak, small)
+                )
+    return value.reshape(shape), max_term.reshape(shape)
 
 
-def hyper_0f2(a: complex, b: complex, z: float) -> complex:
-    """Generalized hypergeometric 0F2(a, b; z) = sum_k z^k / (k! (a)_k (b)_k)."""
-    return _hyper_0f2_raw(complex(a), complex(b), float(z))[0]
+def hyper_0f2(a, b, z):
+    """Generalized hypergeometric 0F2(a, b; z) = sum_k z^k / (k! (a)_k (b)_k).
+
+    Broadcasts over array arguments; scalar arguments return a `complex`.
+    """
+    value = _hyper_0f2_series(a, b, z)[0]
+    return complex(value) if value.ndim == 0 else value
 
 
-def hyper_0f2_diagnostic(a: complex, b: complex, z: float) -> tuple[complex, float]:
+def hyper_0f2_diagnostic(a, b, z):
     """(value, max|term|/|value|): large ratios flag double-precision strain."""
-    value, max_term = _hyper_0f2_raw(complex(a), complex(b), float(z))
-    return value, max_term / abs(value)
+    value, max_term = _hyper_0f2_series(a, b, z)
+    ratio = max_term / np.abs(value)
+    return (complex(value), float(ratio)) if value.ndim == 0 else (value, ratio)
 
 
 def _require_kerr(params: OscillatorParams) -> None:
@@ -170,34 +191,39 @@ def _require_kerr(params: OscillatorParams) -> None:
 class SteadyParams:
     """Reduced parameters of the closed-form steady state.
 
-    epsilon = -i pump / kerr, lam = -i loss / kerr, and the normalization
-    constant norm_c = Gamma(lam*) Gamma(lam) / 0F2(lam*, lam; 2|epsilon|^2).
+    epsilon = -i pump / kerr, lam = -i loss / kerr, and the log of the
+    normalization constant C = Gamma(lam*) Gamma(lam) / 0F2(lam*, lam; 2|epsilon|^2),
+    kept as a log because Gamma(lam) underflows at weak Kerr.
     """
 
     epsilon: complex
     lam: complex
-    norm_c: complex
+    ln_norm_c: complex
+
+    @property
+    def norm_c(self) -> complex:
+        return cmath.exp(self.ln_norm_c)
 
     @classmethod
     def from_params(cls, params: OscillatorParams) -> "SteadyParams":
         _require_kerr(params)
         eps = -1j * params.pump / params.kerr
         lam = -1j * params.loss / params.kerr
-        f0 = hyper_0f2(np.conj(lam), lam, 2.0 * abs(eps) ** 2)
-        norm_c = complex_gamma(np.conj(lam)) * complex_gamma(lam) / f0
-        return cls(epsilon=eps, lam=lam, norm_c=norm_c)
+        f0 = hyper_0f2(lam.conjugate(), lam, 2.0 * abs(eps) ** 2)
+        ln_norm_c = complex_lgamma(lam.conjugate()) + complex_lgamma(lam) - cmath.log(f0)
+        return cls(epsilon=eps, lam=lam, ln_norm_c=ln_norm_c)
 
 
 @lru_cache(maxsize=16)
 def steady_density(params: OscillatorParams, cutoff: FockCutoff) -> DensityMatrix:
     """Assemble the closed-form steady-state density matrix.
 
-    Elements are built in log space (factorials by `math.lgamma`, Gamma
-    prefactors by `complex_lgamma`, exponentiated once) so the assembly stays
-    finite well beyond the n ~ 145 point where Gamma(lam + n) overflows.  The result is hermitized and
-    renormalized inside a strict drift budget; the pre-renormalization trace
-    sitting at 1 is an end-to-end check of the special-function stack and is
-    enforced here.
+    All dim^2 series run as one array call of `hyper_0f2`; the prefactors
+    are an outer sum of log-space row and column vectors, exponentiated once,
+    so the assembly stays finite far past the n ~ 145 where Gamma(lam + n)
+    overflows.  Before hermitizing, a diagonal tail above 1e-8 is
+    `CutoffTooSmall`; only then is a trace or Hermiticity defect above 1e-8
+    `DriftTooLarge`, an end-to-end check of the special functions.
     """
     _require_kerr(params)
     dim = cutoff.dim
@@ -206,41 +232,28 @@ def steady_density(params: OscillatorParams, cutoff: FockCutoff) -> DensityMatri
         el[0, 0] = 1.0
         return DensityMatrix(el)
     sp = SteadyParams.from_params(params)
-    eps, lam = sp.epsilon, sp.lam
-    ln_c = cmath.log(sp.norm_c)
-    ln_eps = cmath.log(eps)
-    z1 = abs(eps) ** 2
-    lgam = [math.lgamma(k + 1) for k in range(dim)]
-    ln_gamma_col = [complex_lgamma(np.conj(lam) + m) for m in range(dim)]
-    ln_gamma_row = [complex_lgamma(lam + n) for n in range(dim)]
-    el = np.empty((dim, dim), dtype=complex)
-    for n in range(dim):
-        for m in range(dim):
-            ln_pref = (
-                ln_c
-                + n * ln_eps
-                + m * np.conj(ln_eps)
-                - 0.5 * (lgam[n] + lgam[m])
-                - ln_gamma_col[m]
-                - ln_gamma_row[n]
-            )
-            el[n, m] = cmath.exp(ln_pref) * hyper_0f2(
-                np.conj(lam) + m, lam + n, z1
-            )
-    trace_dev = abs(complex(np.trace(el)) - 1.0)
-    herm_dev = float(np.max(np.abs(el - el.conj().T)))
-    if trace_dev > 1e-8 or herm_dev > 1e-8:
-        raise DriftTooLarge(
-            f"steady assembly drift: |Tr-1| = {trace_dev:.3e}, "
-            f"Hermiticity defect = {herm_dev:.3e} (budget 1e-8)"
-        )
-    el = _hermitize(el)
+    lam_c, ln_eps = sp.lam.conjugate(), cmath.log(sp.epsilon)
+    # row n: C eps^n / [sqrt(n!) Gamma(lam+n)]; column m: the same in lam*, eps*
+    ln_row = np.array([sp.ln_norm_c + n * ln_eps - 0.5 * math.lgamma(n + 1)
+                       - complex_lgamma(sp.lam + n) for n in range(dim)])
+    ln_col = np.array([m * ln_eps.conjugate() - 0.5 * math.lgamma(m + 1)
+                       - complex_lgamma(lam_c + m) for m in range(dim)])
+    k = np.arange(dim)
+    series = hyper_0f2(lam_c + k[None, :], sp.lam + k[:, None], abs(sp.epsilon) ** 2)
+    el = np.exp(ln_row[:, None] + ln_col[None, :]) * series
     diag_tail = float(np.sum(el.diagonal().real[-3:]))
     if diag_tail > 1e-8:
         raise CutoffTooSmall(
             f"steady-state diagonal tail {diag_tail:.3e} at n_cut={cutoff.n_cut}"
         )
-    return DensityMatrix(el)
+    trace_dev = abs(complex(np.trace(el)) - 1.0)
+    herm_dev = float(np.max(np.abs(el - el.conj().T)))
+    if not (trace_dev <= 1e-8 and herm_dev <= 1e-8):  # NaN fails too
+        raise DriftTooLarge(
+            f"steady assembly drift: |Tr-1| = {trace_dev:.3e}, "
+            f"Hermiticity defect = {herm_dev:.3e} (budget 1e-8)"
+        )
+    return DensityMatrix(_hermitize(el))
 
 
 def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:
@@ -250,8 +263,7 @@ def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:
                       * Gamma(lam*) Gamma(lam) / [Gamma(lam*+m) Gamma(lam+n)]
                       * 0F2(lam*+m, lam+n; 2|eps|^2) / 0F2(lam*, lam; 2|eps|^2)
     """
-    if params.kerr == 0.0:
-        raise KerrZero("moment formula needs kerr != 0")
+    _require_kerr(params)
     if m < 0 or n < 0:
         raise ValueError("moment orders must be >= 0")
     if m == 0 and n == 0:
@@ -259,14 +271,7 @@ def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:
     if params.pump == 0:
         return 0.0 + 0.0j
     sp = SteadyParams.from_params(params)
-    eps, lam = sp.epsilon, sp.lam
-    z2 = 2.0 * abs(eps) ** 2
-    ln_eps = cmath.log(eps)
-    ln_pref = (
-        cmath.log(sp.norm_c)
-        + n * ln_eps
-        + m * np.conj(ln_eps)
-        - complex_lgamma(np.conj(lam) + m)
-        - complex_lgamma(lam + n)
-    )
-    return cmath.exp(ln_pref) * hyper_0f2(np.conj(lam) + m, lam + n, z2)
+    lam_c, ln_eps = sp.lam.conjugate(), cmath.log(sp.epsilon)
+    ln_pref = sp.ln_norm_c + n * ln_eps + m * ln_eps.conjugate()
+    ln_pref -= complex_lgamma(lam_c + m) + complex_lgamma(sp.lam + n)
+    return cmath.exp(ln_pref) * hyper_0f2(lam_c + m, sp.lam + n, 2.0 * abs(sp.epsilon) ** 2)

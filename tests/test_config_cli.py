@@ -32,6 +32,7 @@ from kerrosc.config import (
 )
 from kerrosc.errors import IntegrationFailure, IoError
 from kerrosc.fock import FockCutoff, OscillatorParams, coherent_state
+from kerrosc.gaussian import gaussian_vs_exact_report
 from kerrosc.quasidist import QuasiGrid
 from kerrosc.runner import (
     RunReport,
@@ -470,6 +471,14 @@ class TestSteadyTable:
         )
         assert by_label["mean_n"][1] == pytest.approx(5.1307108173266318, rel=1e-10)
 
+    def test_shares_its_values_with_the_gaussian_report(self, ref_params):
+        # both tables read one exact-versus-Gaussian record
+        _, rows = steady_table(ref_params, FockCutoff(40))
+        by_label = {r[0]: r for r in rows}
+        report = gaussian_vs_exact_report(ref_params, FockCutoff(40))
+        for label, exact, gauss in zip(report.labels, report.exact, report.gaussian):
+            assert by_label[label][1:3] == [exact, gauss]
+
 
 class TestRenderGrid:
     def test_renders_pgm(self, tmp_path):
@@ -596,6 +605,20 @@ class TestCli:
         code = main(["steady", "--G", "0.2", "--gamma0", "1.0", "--p", "5,0", "--cutoff", "15"])
         assert code == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+    def test_steady_small_cutoff_names_the_tail(self, capsys):
+        code = main(["steady", "--G", "0.2", "--gamma0", "1", "--p", "5,0", "--cutoff", "12"])
+        assert code == 3
+        assert "diagonal tail" in capsys.readouterr().err
+
+    def test_steady_weak_kerr(self, capsys):
+        # Gamma(-1000i) underflows; the normalization is taken in log space
+        code = main(["steady", "--G", "0.001", "--gamma0", "1", "--p", "5,0", "--cutoff", "80"])
+        assert code == 0
+        mean_row = next(
+            l for l in capsys.readouterr().out.splitlines() if l.startswith("mean_n")
+        )
+        assert "24.9367483471" in mean_row
 
     def test_steady_past_gamma_overflow(self, capsys):
         # Gamma(lam + n) overflows near n = 145; the assembly works in log space

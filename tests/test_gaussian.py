@@ -35,6 +35,7 @@ from kerrosc.gaussian import (
     gaussian_weights,
     gaussian_x,
     linearized_coeffs,
+    steady_mean_estimate,
     steady_noise_moments,
     strong_pump_estimates,
 )
@@ -86,6 +87,20 @@ class TestClassicalSteadyAmplitude:
         params = OscillatorParams(pump=1.0 + 0.0j, kerr=0.0, loss=0.0)
         with pytest.raises(UnstableLinearization):
             classical_steady_amplitude(params)
+
+
+class TestSteadyMeanEstimate:
+    @pytest.mark.parametrize("pump", [0.0j, 5.0 + 0.0j, 2.0 - 3.0j])
+    @pytest.mark.parametrize("kerr", [0.0, 0.2, -1.0])
+    @pytest.mark.parametrize("loss", [0.0, 1.0])
+    def test_classical_intensity_where_one_exists(self, pump, kerr, loss):
+        # the rule `kerrosc steady`, the runner and cutoff_convergence.py share
+        params = OscillatorParams(pump=pump, kerr=kerr, loss=loss)
+        if kerr == 0.0 and loss == 0.0:
+            expected = 0.0
+        else:
+            expected = abs(classical_steady_amplitude(params)) ** 2
+        assert steady_mean_estimate(params) == expected
 
 
 class TestLinearizedCoeffs:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import kerrosc
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -68,3 +73,39 @@ class TestArtifactDiff:
     def test_missing_directory_is_a_usage_error(self, tmp_path):
         result = run_diff(tmp_path, tmp_path / "absent")
         assert result.returncode == 2
+
+
+def run_convergence(*args: str) -> subprocess.CompletedProcess:
+    src = Path(kerrosc.__file__).resolve().parent.parent
+    path_env = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "cutoff_convergence.py"), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path_env),
+        timeout=120,
+    )
+
+
+class TestCutoffConvergence:
+    def test_ladder_rejects_the_small_cutoff_and_prints_the_rest(self):
+        result = run_convergence("--min-cutoff", "10", "--max-cutoff", "40", "--step", "10")
+        assert result.returncode == 0, result.stderr
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in result.stdout.splitlines()
+            if line.strip() and not line.startswith("#") and line.split()[0].isdigit()
+        }
+        assert sorted(rows, key=int) == ["10", "20", "30", "40"]
+        assert rows["10"][0] == "rejected:"
+        assert "diagonal tail" in " ".join(rows["10"])
+        for n_cut in ("20", "30", "40"):
+            values = [float(v) for v in rows[n_cut]]
+            assert len(values) == 7
+            assert values[0] == pytest.approx(5.1307108, rel=1e-6)
+
+    def test_zero_loss_runs_without_traceback(self):
+        result = run_convergence("--loss", "0", "--max-cutoff", "20")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "rejected:" in result.stdout

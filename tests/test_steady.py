@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kerrosc import steady
 from kerrosc.errors import (
+    CutoffTooSmall,
     DriftTooLarge,
     GammaOverflow,
     KerrZero,
@@ -155,6 +157,54 @@ def fraction_0f2(a: Fraction, b: Fraction, z: Fraction, terms: int) -> Fraction:
     return total
 
 
+def legacy_0f2(a: complex, b: complex, z: float) -> tuple[complex, float, int]:
+    """Per-element reference for the 0F2 series, in Python complex
+    arithmetic: value, max |term| and the number of terms it took."""
+    total, comp, term = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j
+    max_term, small, k = 1.0, 0, 0
+    while small < 3:
+        term = term * z / ((k + 1) * (a + k) * (b + k))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        max_term = max(max_term, abs(term))
+        k += 1
+        small = small + 1 if abs(term) < 1e-16 * abs(total) else 0
+    return total, max_term, k
+
+
+def legacy_density(params: OscillatorParams, cutoff: FockCutoff) -> np.ndarray:
+    """Per-element reference for the closed-form density, hermitized and
+    renormalized: one scalar series and one exp per matrix element, with the
+    normalization through complex_gamma."""
+    eps = -1j * params.pump / params.kerr
+    lam = -1j * params.loss / params.kerr
+    f0 = legacy_0f2(np.conj(lam), lam, 2.0 * abs(eps) ** 2)[0]
+    ln_c = cmath.log(complex_gamma(np.conj(lam)) * complex_gamma(lam) / f0)
+    ln_eps = cmath.log(eps)
+    dim = cutoff.dim
+    lgam = [math.lgamma(k + 1) for k in range(dim)]
+    ln_gamma_col = [complex_lgamma(np.conj(lam) + m) for m in range(dim)]
+    ln_gamma_row = [complex_lgamma(lam + n) for n in range(dim)]
+    el = np.empty((dim, dim), dtype=complex)
+    for n in range(dim):
+        for m in range(dim):
+            ln_pref = (
+                ln_c
+                + n * ln_eps
+                + m * np.conj(ln_eps)
+                - 0.5 * (lgam[n] + lgam[m])
+                - ln_gamma_col[m]
+                - ln_gamma_row[n]
+            )
+            el[n, m] = cmath.exp(ln_pref) * legacy_0f2(
+                np.conj(lam) + m, lam + n, abs(eps) ** 2
+            )[0]
+    sym = 0.5 * (el + el.conj().T)
+    return sym / np.trace(sym).real
+
+
 class TestHyper0F2:
     def test_zero_argument(self):
         assert hyper_0f2(1.5 + 2.0j, 0.7, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -212,6 +262,34 @@ class TestHyper0F2:
         assert value == hyper_0f2(5.0j, -5.0j + 0.0, 625.0)
 
 
+    @pytest.mark.parametrize("z", [25.0, 625.0])
+    def test_array_matches_per_element_calls(self, z):
+        # a grid whose elements stop after different numbers of terms
+        a = (0.5 - 5.0j) + np.arange(24)[None, :]
+        b = (0.5 + 5.0j) + 3.0 * np.arange(16)[:, None]
+        values, ratios = hyper_0f2_diagnostic(a, b, z)
+        assert values.shape == ratios.shape == (16, 24)
+        np.testing.assert_array_equal(hyper_0f2(a, b, z), values)
+        counts = set()
+        for i in range(16):
+            for j in range(24):
+                value, ratio = hyper_0f2_diagnostic(a[0, j], b[i, 0], z)
+                assert isinstance(value, complex) and isinstance(ratio, float)
+                assert values[i, j] == pytest.approx(value, rel=1e-15, abs=0.0)
+                assert ratios[i, j] == pytest.approx(ratio, rel=1e-15, abs=0.0)
+                old_value, old_max, terms = legacy_0f2(a[0, j], b[i, 0], z)
+                # the same operations in the same order as Python complex math
+                assert values[i, j] == pytest.approx(old_value, rel=1e-15, abs=0.0)
+                assert ratios[i, j] == pytest.approx(
+                    old_max / abs(old_value), rel=2e-15, abs=0.0
+                )
+                counts.add(terms)
+        assert len(counts) > 3
+
+    def test_array_pole_anywhere_raises(self):
+        with pytest.raises(PoleAtNonpositiveInteger):
+            hyper_0f2(np.array([1.5, 2.5, -2.0]), 1.0, 1.0)
+
 class TestSteadyParams:
     def test_reference_point_reduced_parameters(self, ref_params):
         sp = SteadyParams.from_params(ref_params)
@@ -223,6 +301,12 @@ class TestSteadyParams:
         f0 = hyper_0f2(np.conj(sp.lam), sp.lam, 2.0 * abs(sp.epsilon) ** 2)
         expected = complex_gamma(np.conj(sp.lam)) * complex_gamma(sp.lam) / f0
         assert sp.norm_c == pytest.approx(expected, rel=1e-12)
+
+    def test_log_norm_finite_where_gamma_underflows(self):
+        # Gamma(+-1000i) underflows to 0 at G = 1e-3; its log does not
+        sp = SteadyParams.from_params(OscillatorParams(pump=5.0 + 0j, kerr=1e-3, loss=1.0))
+        assert cmath.isfinite(sp.ln_norm_c)
+        assert sp.ln_norm_c.real < math.log(sys.float_info.min)
 
     def test_kerr_zero_rejected(self):
         with pytest.raises(KerrZero):
@@ -274,9 +358,45 @@ class TestSteadyDensity:
             steady_density(OscillatorParams(pump=1.0 + 0j, kerr=0.0, loss=1.0), FockCutoff(8))
 
     def test_insufficient_cutoff_rejected(self, ref_params):
-        # at n_cut = 15 the truncated trace misses its 1e-8 budget
-        with pytest.raises(DriftTooLarge):
+        # at n_cut = 15 the basis misses weight: the tail check runs before
+        # the trace check, so the cutoff is blamed, not the special functions
+        with pytest.raises(CutoffTooSmall, match="diagonal tail"):
             steady_density(ref_params, FockCutoff(15))
+
+    @pytest.mark.parametrize(
+        "params,n_cut",
+        [(OscillatorParams(pump=5.0 + 0j, kerr=0.2, loss=1.0), 12),
+         (OscillatorParams(pump=200.0 + 0j, kerr=0.2, loss=1.0), 60)],
+    )
+    def test_small_cutoff_blames_the_cutoff(self, params, n_cut):
+        with pytest.raises(CutoffTooSmall):
+            steady_density(params, FockCutoff(n_cut))
+
+    def test_drift_still_checked_after_the_tail(self, ref_params, monkeypatch):
+        # spoil only the (dim, dim) series: the tail passes, the trace does not
+        exact = steady.hyper_0f2
+        monkeypatch.setattr(
+            steady, "hyper_0f2", lambda a, b, z: exact(a, b, z) * (1.01 if np.ndim(a) else 1.0)
+        )
+        with pytest.raises(DriftTooLarge, match="drift"):
+            steady_density.__wrapped__(ref_params, FockCutoff(40))
+
+    @pytest.mark.parametrize("kerr", [0.2, 1.0])
+    @pytest.mark.parametrize("n_cut", [45, 100])
+    def test_matches_per_element_assembly(self, kerr, n_cut):
+        params = OscillatorParams(pump=5.0 * cmath.exp(0.7j), kerr=kerr, loss=1.0)
+        reference = legacy_density(params, FockCutoff(n_cut))
+        rho = steady_density(params, FockCutoff(n_cut))
+        scale = float(np.max(np.abs(reference)))
+        assert float(np.max(np.abs(rho.elements - reference))) <= 1e-13 * scale
+
+    def test_weak_kerr_where_gamma_underflows(self):
+        # lam = -1000i: Gamma(lam) is 0 in doubles, the log-space norm is not
+        params = OscillatorParams(pump=5.0 + 0j, kerr=1e-3, loss=1.0)
+        mean_n = steady_moment(1, 1, params)
+        assert mean_n.real == pytest.approx(24.936748347, rel=1e-9)
+        rho = steady_density(params, FockCutoff(80))
+        assert moments(rho).mean_n == pytest.approx(mean_n.real, abs=1e-9)
 
     def test_results_are_cached(self, ref_params, steady_rho):
         assert steady_density(ref_params, FockCutoff(40)) is steady_rho
