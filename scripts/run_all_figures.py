@@ -3,9 +3,12 @@
 
 Each bundled scenario reproduces one figure-style artifact (time series,
 phase-space grids, or report tables).  Grids are also rendered to portable
-greymaps unless --no-render is given.  The pumped evolutions to t = 10..20
-dominate the runtime; with --no-render the sweep takes about 10 s on a
-2-vCPU machine.
+greymaps unless --no-render is given.  A scenario that fails with a package
+error is reported and counted, and the sweep goes on to the next one.  The
+last line totals the scenarios run, the failures, the accepted integrator
+steps and the wall time; the exit code is 1 if any scenario failed.  The
+pumped evolutions to t = 10..20 dominate the runtime; with --no-render the
+sweep takes about 10 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from kerrosc.config import ScenarioConfig, validate_config
+from kerrosc.errors import KerrOscError
 from kerrosc.runner import render_grid, run_scenario
 
 
@@ -47,24 +51,34 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    failures = 0
+    scenarios = failures = total_steps = 0
+    sweep_start = time.perf_counter()
     for file_name, text in bundled_scenarios():
         if args.only and args.only not in file_name:
             continue
+        scenarios += 1
         config = validate_config(text)
         if not isinstance(config, ScenarioConfig):
             print(f"{file_name}: invalid bundled config: {config}", file=sys.stderr)
             failures += 1
             continue
         start = time.perf_counter()
-        report = run_scenario(config, args.out)
+        try:
+            report = run_scenario(config, args.out)
+        except KerrOscError as exc:
+            print(f"{file_name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failures += 1
+            continue
         elapsed = time.perf_counter() - start
+        total_steps += report.steps
         print(f"{config.name}: {len(report.files)} file(s), "
               f"{report.steps} step(s), {elapsed:.1f} s")
         if not args.no_render:
             for path in report.files:
                 if path.endswith(".grid"):
                     render_grid(path)
+    print(f"total: {scenarios} scenario(s), {failures} failure(s), "
+          f"{total_steps} step(s), {time.perf_counter() - sweep_start:.1f} s")
     return 1 if failures else 0
 
 

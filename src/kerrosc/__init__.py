@@ -59,6 +59,7 @@ from .errors import (
     IoError,
     KerrOscError,
     KerrZero,
+    LossZero,
     NegativeDiagonal,
     NonconvergenceWithinMaxTerms,
     NonpositiveKs,

@@ -380,13 +380,18 @@ def validate_config(text: str) -> ScenarioConfig | list[str]:
                     f"outputs[{i}]: quasi_grid over snapshots requires "
                     "time.snapshot_times"
                 )
-        needs_kerr = isinstance(
+        needs_steady = isinstance(
             out, (SteadyReportOutput, GaussianReportOutput, DistanceToSteadyOutput)
         ) or (isinstance(out, QuasiGridOutput) and out.target == "steady")
-        if needs_kerr and params.kerr == 0.0:
+        if needs_steady and params.kerr == 0.0:
             errors.append(
                 f"outputs[{i}]: requires kerr != 0 (the steady state of the "
                 "linear oscillator is the coherent state pump/loss)"
+            )
+        if needs_steady and params.loss == 0.0:
+            errors.append(
+                f"outputs[{i}]: requires loss > 0 (without loss there is no "
+                "stationary state)"
             )
     if isinstance(state, FockInit) and cutoff is not None and state.n > cutoff:
         errors.append(f"initial_state.n: {state.n} exceeds cutoff {cutoff}")

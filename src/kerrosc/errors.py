@@ -99,6 +99,10 @@ class KerrZero(KerrOscError):
     """Operation requires a nonzero Kerr coefficient."""
 
 
+class LossZero(KerrOscError):
+    """Operation requires loss > 0: without loss there is no stationary state."""
+
+
 # --- linearized analysis --------------------------------------------------
 
 class UnstableLinearization(KerrOscError):

@@ -28,6 +28,7 @@ from .errors import (
     DriftTooLarge,
     GammaOverflow,
     KerrZero,
+    LossZero,
     NonconvergenceWithinMaxTerms,
     PoleAtNonpositiveInteger,
 )
@@ -179,11 +180,16 @@ def hyper_0f2_diagnostic(a, b, z):
     return (complex(value), float(ratio)) if value.ndim == 0 else (value, ratio)
 
 
-def _require_kerr(params: OscillatorParams) -> None:
+def _require_closed_form(params: OscillatorParams) -> None:
     if params.kerr == 0.0:
         raise KerrZero(
             "closed-form steady state needs kerr != 0; for kerr = 0 the "
             "steady state is the coherent state with amplitude pump/loss"
+        )
+    if params.loss == 0.0:
+        raise LossZero(
+            "closed-form steady state needs loss > 0; without loss nothing "
+            "damps the oscillator and there is no stationary state"
         )
 
 
@@ -206,7 +212,7 @@ class SteadyParams:
 
     @classmethod
     def from_params(cls, params: OscillatorParams) -> "SteadyParams":
-        _require_kerr(params)
+        _require_closed_form(params)
         eps = -1j * params.pump / params.kerr
         lam = -1j * params.loss / params.kerr
         f0 = hyper_0f2(lam.conjugate(), lam, 2.0 * abs(eps) ** 2)
@@ -225,7 +231,7 @@ def steady_density(params: OscillatorParams, cutoff: FockCutoff) -> DensityMatri
     `CutoffTooSmall`; only then is a trace or Hermiticity defect above 1e-8
     `DriftTooLarge`, an end-to-end check of the special functions.
     """
-    _require_kerr(params)
+    _require_closed_form(params)
     dim = cutoff.dim
     if params.pump == 0:
         el = np.zeros((dim, dim), dtype=complex)
@@ -263,7 +269,7 @@ def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:
                       * Gamma(lam*) Gamma(lam) / [Gamma(lam*+m) Gamma(lam+n)]
                       * 0F2(lam*+m, lam+n; 2|eps|^2) / 0F2(lam*, lam; 2|eps|^2)
     """
-    _require_kerr(params)
+    _require_closed_form(params)
     if m < 0 or n < 0:
         raise ValueError("moment orders must be >= 0")
     if m == 0 and n == 0:

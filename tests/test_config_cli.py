@@ -81,16 +81,16 @@ POSITIVITY_LOSS_YAML = """
 name: positivity
 initial_state:
   kind: coherent
-  alpha: [3.0, 0.0]
+  alpha: [2.0, 0.0]
 params:
-  pump: [5.0, 0.0]
-  kerr: 0.0
-  loss: 1.0
+  pump: [0.5, 0.0]
+  kerr: 0.2
+  loss: 0.0
 cutoff: 45
 time:
   t_max: 5.0
   snapshot_times: []
-  sample_count: 11
+  sample_count: 101
 outputs:
   - kind: timeseries
 """
@@ -184,6 +184,17 @@ class TestValidateConfig:
         errors = validate_config(GOOD_YAML.replace("kerr: 0.2", "kerr: 0.0"))
         assert isinstance(errors, list)
         assert any("requires kerr != 0" in e for e in errors)
+
+    def test_steady_outputs_need_loss(self):
+        errors = validate_config(GOOD_YAML.replace("loss: 1.0", "loss: 0.0"))
+        assert isinstance(errors, list)
+        # distance_to_steady, steady_report and gaussian_report
+        assert sum("requires loss > 0" in e for e in errors) == 3
+        # the lossless evolution alone is a valid scenario
+        lossless = GOOD_YAML.replace("loss: 1.0", "loss: 0.0").split(
+            "  - kind: distance_to_steady"
+        )[0]
+        assert isinstance(validate_config(lossless), ScenarioConfig)
 
     def test_quasi_snapshots_need_snapshot_times(self):
         errors = validate_config(
@@ -566,9 +577,25 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "numerical failure:" in capsys.readouterr().err
 
+    def test_bundled_fig8_runs_at_the_default_cutoff(self, tmp_path, capsys):
+        # without its cutoff line the scenario runs at the package's own
+        # choice, n_cut 51; under the RMS step error it broke the floor there
+        from importlib.resources import files
+
+        text = (files("kerrosc") / "scenarios" / "fig8_coherent.yaml").read_text(
+            encoding="utf-8"
+        )
+        path = tmp_path / "fig8.yaml"
+        path.write_text("".join(
+            line for line in text.splitlines(keepends=True)
+            if not line.startswith("cutoff:")
+        ))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "cutoff: 51" in capsys.readouterr().out
+
     def test_run_positivity_loss_exits_3_without_traceback(self, tmp_path):
-        # G = 0 from |alpha=3> at n_cut 45: the eigenvalue floor breaks
-        # before the tail mass exceeds its budget
+        # lossless and pumped from |alpha=2> at n_cut 45: the eigenvalue
+        # floor breaks before the tail mass exceeds its budget
         path = tmp_path / "s.yaml"
         path.write_text(POSITIVITY_LOSS_YAML)
         src = Path(kerrosc.__file__).resolve().parent.parent
@@ -585,6 +612,13 @@ class TestCli:
         assert "numerical failure:" in proc.stderr
         assert "minimum eigenvalue" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_steady_at_loss_zero_names_the_cause(self, capsys):
+        code = main(["steady", "--G", "0.2", "--gamma0", "0", "--p", "5,0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure:" in err
+        assert "no stationary state" in err
 
     def test_steady_table_output(self, capsys):
         code = main(["steady", "--G", "0.2", "--gamma0", "1.0", "--p", "5,0", "--cutoff", "40"])

@@ -3,9 +3,12 @@
 The master-equation integrator is checked against exact special cases (pure
 Kerr phases, driven-damped coherent states), the classical ODE against its
 pump-free closed form, and the linearized noise ODE against its algebraic
-fixed point.  The Krylov form of the DP5 step is checked against the stage
-form, against exp(Lambda t) at its samples, and for a step sequence that does
-not depend on the output grid.  The exact unpumped map is checked against DP5
+fixed point.  The degree-7 Krylov step is checked for its order, stability
+radius and error weights, against its polynomial in dense powers of L and
+against exp(Lambda t) at its samples, for a step sequence that does not depend
+on the output grid, and for its RHS and rejection counts.  Starts that broke
+the eigenvalue floor under the RMS error norm, at the bundled cutoff and
+above, are regression tests.  The exact unpumped map is checked against DP5
 at tight tolerances, the Kerr phase map and the damping distributions, also
 past the bundled cutoff.  Complete-positivity invariants run under
 hypothesis.
@@ -23,15 +26,17 @@ from hypothesis import strategies as st
 
 import kerrosc.dynamics as dynamics
 from kerrosc.dynamics import (
+    _DP5_EMBEDDED,
     _DP_A,
+    _DP_ERR,
+    _KRYLOV_C,
     _KRYLOV_E,
-    _KRYLOV_R,
     SemiclassicalPath,
     TimeGrid,
     Trajectory,
     _adaptive_rk,
     _initial_step,
-    _linear_dp5,
+    _linear_krylov,
     classical_path,
     evolve,
     kerr_lossless_evolve,
@@ -254,14 +259,43 @@ class TestEvolveDiagnostics:
             evolve(rho0, params, TimeGrid.uniform(5.0, 11))
 
     def test_positivity_loss_is_typed(self):
-        # mean photon number 25 at n_cut 45: the floor breaks while the tail
-        # mass is still within budget
-        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.0, loss=1.0)
-        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
+        # a lossless pumped run from |alpha=2> at n_cut 45: nothing contracts
+        # the integration error, and the floor breaks near t = 0.35 while the
+        # tail mass is still within budget
+        params = OscillatorParams(pump=0.5 + 0.0j, kerr=0.2, loss=0.0)
+        rho0 = density_from_pure(coherent_state(2.0, FockCutoff(45)))
         with pytest.raises(PositivityLost, match="minimum eigenvalue") as info:
-            evolve(rho0, params, TimeGrid.uniform(5.0, 11))
+            evolve(rho0, params, TimeGrid.uniform(5.0, 101))
         assert isinstance(info.value, KerrOscError)
         assert isinstance(info.value.__cause__, ValueError)
+
+
+def _min_eigenvalue(traj: Trajectory) -> float:
+    return min(float(state.spectrum[0]) for state in traj.states)
+
+
+class TestEigenvalueFloorRegressions:
+    """Starts that broke the -1e-9 floor when the step error was an RMS.
+
+    The RMS over all dim^2 entries let the nearly empty tail dilute the
+    error on the populated block, more so the larger the cutoff.  Under the
+    max norm each start below keeps its minimum eigenvalue within 2e-10 of
+    zero, at the bundled cutoff and above it.
+    """
+
+    bundled = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_low_fock_starts_at_the_bundled_cutoff(self, n):
+        rho0 = density_from_pure(fock_state(n, FockCutoff(45)))
+        traj = evolve(rho0, self.bundled, TimeGrid.uniform(5.0, 251))
+        assert _min_eigenvalue(traj) > -5e-10
+
+    @pytest.mark.parametrize("n_cut", [60, 70])
+    def test_coherent_start_above_the_bundled_cutoff(self, n_cut):
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(n_cut)))
+        traj = evolve(rho0, self.bundled, TimeGrid.uniform(10.0, 101))
+        assert _min_eigenvalue(traj) > -5e-10
 
 
 small_amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -516,32 +550,60 @@ class TestAdaptiveRK:
         np.testing.assert_allclose(y, exact, rtol=20 * rtol, atol=atol)
 
 
-def stage_form_dp5(lmat: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """One DP5 step of y' = L y written out stage by stage."""
-    k: list[np.ndarray] = []
-    for row in _DP_A:
-        yi = y + h * sum((a * kj for a, kj in zip(row, k)), np.zeros_like(y))
-        k.append(lmat @ yi)
-    # the last stage row holds the 5th-order weights
-    return y + h * sum((b * kj for b, kj in zip(_DP_A[6], k)), np.zeros_like(y))
+def _linear(apply: Callable[[np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:
+    """`apply` as a right-hand side that can also write into `out`."""
+
+    def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return apply(y)
+        out[...] = apply(y)
+        return out
+
+    return f
 
 
 def _identity(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _stable_radius(coeffs: np.ndarray, degrees: float) -> float:
+    """First r on a 1e-3 grid with |p(r e^{i theta})| > 1."""
+    r = np.arange(1, 12001) * 1e-3
+    z = r * np.exp(1j * math.radians(degrees))
+    p = np.polyval(coeffs[::-1], z)
+    return float(r[np.argmax(np.abs(p) > 1.0)])
+
+
 class TestKrylovDP5:
     def test_step_polynomial_coefficients(self):
-        expected = [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0]
-        np.testing.assert_allclose(_KRYLOV_R, expected, rtol=1e-15, atol=0.0)
-        assert _KRYLOV_R[7] == 0.0
-        # the error polynomial starts at h^5: the embedded pair agrees to 4th order
-        assert np.all(np.abs(_KRYLOV_E[:5]) < 1e-16)
+        # fifth order: the Taylor coefficients of exp up to z^5, exactly
+        taylor = [1.0 / math.factorial(j) for j in range(6)]
+        assert list(_KRYLOV_C[:6]) == taylor
+        # stable well past DP5 on the ray of the bundled point's extreme
+        # eigenvalue, -45-396i
+        dp5 = np.array(taylor + [1.0 / 600.0, 0.0])
+        ray = math.degrees(math.atan2(396.0, -45.0))
+        assert _stable_radius(dp5, ray) == pytest.approx(2.733, abs=2e-3)
+        assert _stable_radius(_KRYLOV_C, ray) >= 5.0
+        # the error reference is DP5's embedded 4th-order solution: for
+        # y' = L y its weights are b* A^(j-1) 1, b* the 4th-order weights
+        a_mat = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A])
+        b4 = a_mat[6] - _DP_ERR
+        embedded = [1.0] + [
+            b4 @ np.linalg.matrix_power(a_mat, q) @ np.ones(7) for q in range(7)
+        ]
+        np.testing.assert_allclose(_DP5_EMBEDDED, embedded, rtol=1e-13, atol=1e-15)
+        # so the error weights are zero below h^5
+        assert np.all(_KRYLOV_E[:5] == 0.0)
         np.testing.assert_allclose(
-            _KRYLOV_E[5:], [-97 / 120000, 13 / 40000, -1 / 24000], rtol=1e-13
+            _KRYLOV_E[5:],
+            [-97 / 120000, 9e-4 - 161 / 120000, 1.25e-4 - 1 / 24000],
+            rtol=1e-13,
         )
 
     def test_one_step_matches_stage_form(self):
+        # one accepted step and a sample inside it, each against
+        # sum_j c_j (sL)^j y0 from dense powers of L
         rng = np.random.default_rng(6)
         lmat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -549,10 +611,15 @@ class TestKrylovDP5:
         # grid end at the first trial step: one step, with a sample inside it
         h = _initial_step(y0, lmat @ y0, 1.0, rtol, atol)
         times = np.array([0.0, h / 3, h])
-        out = list(_linear_dp5(lambda y: lmat @ y, y0, times, rtol, atol, _identity))
-        assert [steps for _, steps in out] == [0, 1]
+        out = list(
+            _linear_krylov(_linear(lambda y: lmat @ y), y0, times, rtol, atol, _identity)
+        )
+        assert [counts[0] for _, counts in out] == [0, 1]
         for (got, _), t in zip(out, times[1:]):
-            ref = stage_form_dp5(lmat, y0, float(t))
+            ref = sum(
+                c * np.linalg.matrix_power(float(t) * lmat, j) @ y0
+                for j, c in enumerate(_KRYLOV_C)
+            )
             assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
     def test_samples_match_exponential(self):
@@ -560,15 +627,17 @@ class TestKrylovDP5:
         y0 = np.array([2.0 + 0.0j, -1.0 + 1.0j, 0.5j])
         rtol, atol = 1e-9, 1e-12
         times = np.linspace(0.0, 2.5, 101)
-        out = list(_linear_dp5(lambda y: lam * y, y0, times, rtol, atol, _identity))
+        f = _linear(lambda y: lam * y)
+        out = list(_linear_krylov(f, y0, times, rtol, atol, _identity))
         assert len(out) == 100
         for (got, _), t in zip(out, times[1:]):
             np.testing.assert_allclose(got, y0 * np.exp(lam * t), rtol=20 * rtol, atol=atol)
-        # samples do not cut steps: the stage form over the whole span takes
-        # the same steps under the shared controller
-        _, stage_steps, _ = _adaptive_rk(lambda y: lam * y, y0, 0.0, 2.5, rtol, atol)
-        assert out[-1][1] == stage_steps
-        counts = [steps for _, steps in out]
+        # samples do not cut steps: the same integration sampled only at
+        # the end takes the same steps and ends in the same state
+        (end, end_counts), = _linear_krylov(f, y0, times[[0, -1]], rtol, atol, _identity)
+        assert out[-1][1] == end_counts
+        assert np.array_equal(out[-1][0], end)
+        counts = [c[0] for _, c in out]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_final_state_independent_of_sampling(self):
@@ -579,7 +648,7 @@ class TestKrylovDP5:
         assert np.array_equal(sparse.states[-1].elements, dense.states[-1].elements)
         assert sparse.diagnostics[-1].steps == dense.diagnostics[-1].steps
 
-    def test_six_rhs_calls_per_step_and_free_rejections(self, monkeypatch):
+    def test_seven_rhs_calls_per_step_and_free_rejections(self, monkeypatch):
         calls = 0
         norms: list[float] = []
         generator = dynamics.liouvillian_generator
@@ -588,10 +657,10 @@ class TestKrylovDP5:
         def counting_generator(params, dim):
             rhs = generator(params, dim)
 
-            def counted(r):
+            def counted(r, out=None):
                 nonlocal calls
                 calls += 1
-                return rhs(r)
+                return rhs(r, out=out)
 
             return counted
 
@@ -605,9 +674,31 @@ class TestKrylovDP5:
         rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
         traj = evolve(rho0, params, TimeGrid.uniform(2.0, 51))
         steps = traj.diagnostics[-1].steps
-        assert sum(err > 1.0 for err in norms) > 0  # some steps were rejected
-        assert len(norms) - steps == sum(err > 1.0 for err in norms)
-        assert calls == 1 + 6 * steps
+        rejected = sum(err > 1.0 for err in norms)
+        assert rejected > 0
+        assert len(norms) - steps == rejected
+        assert calls == 1 + 7 * steps
+        assert traj.diagnostics[-1].rejected == rejected
+        assert traj.diagnostics[-1].rhs_calls == calls
+
+    def test_diagnostics_count_rhs_calls_and_rejections(self):
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(60)))
+        traj = evolve(rho0, params, TimeGrid.uniform(2.0, 21))
+        diags = traj.diagnostics
+        assert (diags[0].steps, diags[0].rejected, diags[0].rhs_calls) == (0, 0, 0)
+        # the last output ends the last step: 1 + 7 calls per accepted step
+        assert diags[-1].rhs_calls == 1 + 7 * diags[-1].steps
+        assert diags[-1].rejected > 0
+        for a, b in zip(diags, diags[1:]):
+            assert b.rejected >= a.rejected and b.rhs_calls >= a.rhs_calls
+        # an output inside a step has paid for that step's chain already
+        for d in diags[1:]:
+            assert d.rhs_calls in (1 + 7 * d.steps, 1 + 7 * (d.steps + 1))
+        # the exact map integrates nothing
+        unpumped = OscillatorParams(pump=0.0j, kerr=0.2, loss=1.0)
+        exact = unpumped_evolve(rho0, unpumped, TimeGrid.uniform(2.0, 21))
+        assert all((d.steps, d.rejected, d.rhs_calls) == (0, 0, 0) for d in exact.diagnostics)
 
 
 def _max_element_diff(a: Trajectory, b: Trajectory) -> float:

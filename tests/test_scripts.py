@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import kerrosc
+from kerrosc.errors import PositivityLost
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -109,3 +113,56 @@ class TestCutoffConvergence:
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
         assert "rejected:" in result.stdout
+
+
+def load_run_all_figures():
+    spec = importlib.util.spec_from_file_location(
+        "run_all_figures", SCRIPTS / "run_all_figures.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunAllFigures:
+    def test_totals_line_sums_the_scenarios(self, tmp_path):
+        src = Path(kerrosc.__file__).resolve().parent.parent
+        path_env = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_all_figures.py"), "--no-render",
+             "--only", "fig5", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path_env),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith("fig5: 6 file(s), ")
+        steps = int(lines[0].split(", ")[1].split()[0])
+        assert steps > 0
+        total = re.fullmatch(
+            r"total: 1 scenario\(s\), 0 failure\(s\), (\d+) step\(s\), [0-9.]+ s",
+            lines[-1],
+        )
+        assert total is not None and int(total.group(1)) == steps
+
+    def test_failure_is_counted_and_the_sweep_goes_on(self, tmp_path, monkeypatch, capsys):
+        module = load_run_all_figures()
+
+        def fake_run(config, out_dir):
+            if config.name == "fig10_fock9":
+                raise PositivityLost("minimum eigenvalue -2e-09 below -1e-09")
+            return SimpleNamespace(files=(), steps=5)
+
+        monkeypatch.setattr(module, "run_scenario", fake_run)
+        code = module.main(["--no-render", "--only", "fig1", "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "fig10_fock9.yaml: PositivityLost: minimum eigenvalue" in captured.err
+        assert "Traceback" not in captured.err
+        # fig1, fig10_{coherent,fock9,kitten}, fig11 and fig12
+        assert "fig12: 0 file(s), 5 step(s)" in captured.out
+        assert captured.out.splitlines()[-1].startswith(
+            "total: 6 scenario(s), 1 failure(s), 25 step(s), "
+        )

@@ -24,7 +24,9 @@ from kerrosc.errors import (
     CutoffTooSmall,
     DriftTooLarge,
     GammaOverflow,
+    KerrOscError,
     KerrZero,
+    LossZero,
     NonconvergenceWithinMaxTerms,
     PoleAtNonpositiveInteger,
 )
@@ -356,6 +358,19 @@ class TestSteadyDensity:
     def test_kerr_zero_rejected(self):
         with pytest.raises(KerrZero):
             steady_density(OscillatorParams(pump=1.0 + 0j, kerr=0.0, loss=1.0), FockCutoff(8))
+
+    @pytest.mark.parametrize("pump", [0.0j, 5.0 + 0j])
+    def test_loss_zero_names_the_cause(self, pump):
+        # lam = 0 is a Gamma pole; the guard reports the physics instead
+        params = OscillatorParams(pump=pump, kerr=0.2, loss=0.0)
+        for call in (
+            lambda: steady_density(params, FockCutoff(8)),
+            lambda: steady_moment(1, 1, params),
+            lambda: SteadyParams.from_params(params),
+        ):
+            with pytest.raises(LossZero, match="no stationary state"):
+                call()
+        assert issubclass(LossZero, KerrOscError)
 
     def test_insufficient_cutoff_rejected(self, ref_params):
         # at n_cut = 15 the basis misses weight: the tail check runs before
