@@ -110,7 +110,6 @@ from .measures import (
     MomentSet,
     SpectralDecomposition,
     bures_distance,
-    bures_distance_eig,
     chaotic_reference,
     fano,
     linear_entropy_and_purity,
@@ -118,10 +117,8 @@ from .measures import (
     moments,
     photon_distribution,
     relative_entropy,
-    relative_entropy_eig,
     spectral_decomposition,
     squeezing,
-    target_eigenpairs,
     von_neumann_entropy,
 )
 from .quasidist import (

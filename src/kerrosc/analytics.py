@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooSmall, ZeroSeparation
-from .fock import FockCutoff, _poisson_tail
+from .errors import ZeroSeparation
+from .fock import FockCutoff, _require_coherent_fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +136,7 @@ def coherent_damped_distribution(
     if t < 0:
         raise ValueError("t must be >= 0")
     mean = abs(alpha) ** 2 * math.exp(-2.0 * loss * t)
-    tail = _poisson_tail(math.sqrt(mean), cutoff.n_cut)
-    if tail >= 1e-8:
-        raise CutoffTooSmall(
-            f"Poisson weight {tail:.3e} beyond n_cut = {cutoff.n_cut} "
-            f"for mean photon number {mean:.6g}"
-        )
+    _require_coherent_fits(math.sqrt(mean), cutoff)
     if mean <= 0.0:
         out = np.zeros(cutoff.dim)
         out[0] = 1.0

@@ -39,9 +39,12 @@ evolving on its own; `unpumped_evolve` evaluates it at the sample times with
 no integration and passes every output through the same guards as `evolve`.
 Alongside them live the closed-form maps used as oracles and cheap
 approximations: the lossless Kerr phase map, the linear-damping amplitude, and
-the nonlinear classical amplitude and linearized noise-moment ODEs, which use
-the stage form of the Dormand-Prince 5(4) tableau under the same step-size
-controller.
+the nonlinear classical amplitude and linearized noise-moment ODEs.  Those two
+share one loop, `_adaptive_rk`: the stage form of the Dormand-Prince 5(4)
+tableau under the same step-size controller, one integration over the whole
+grid.  Its steps cannot be read off a polynomial, so a step that would pass
+the next sample is cut to end exactly on it; the step size and the
+first-same-as-last derivative carry on across samples.
 """
 
 from __future__ import annotations
@@ -128,6 +131,9 @@ _KRYLOV_W_EXP[2, 1:] = _KRYLOV_POWERS
 
 # levels below the truncation edge whose population the tail guard watches
 _TAIL_MARGIN = 5
+# default master-equation tolerances of `evolve`, echoed in every artifact header
+RTOL = 1e-8
+ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,30 +257,38 @@ def _step_factor(err: float) -> float:
 def _adaptive_rk(
     f: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
-    t0: float,
-    t1: float,
+    times: np.ndarray,
     rtol: float,
     atol: float,
-    h_init: float | None = None,
-) -> tuple[np.ndarray, int, float]:
-    """Integrate dy/dt = f(y) from t0 to t1 with embedded 5(4) step control.
+) -> Iterator[np.ndarray]:
+    """Integrate dy/dt = f(y) with embedded 5(4) step control, sampled at times[1:].
 
-    The stage form, for the nonlinear semiclassical ODEs.  Returns (y(t1),
-    accepted step count, last step size).
+    The stage form, for the nonlinear semiclassical ODEs.  One integration
+    runs from times[0] to times[-1] and yields y at each of times[1:] in
+    order: a step that would pass the next sample is cut to end exactly on
+    it, and the step size and the first-same-as-last derivative carry on
+    into the next segment.
     """
-    span = t1 - t0
-    h_min = 1e-14 * max(1.0, abs(t1))
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("rtol and atol must be > 0")
+    n = times.shape[0]
+    if n < 2:
+        return
+    t = float(times[0])
+    h_min = 1e-14 * max(1.0, abs(float(times[-1])))
     k0 = f(y)
     # the seven stage derivatives, flattened so each stage input and the
     # error vector are one weighted sum over the leading axis
     k = np.empty((7,) + k0.shape, dtype=np.result_type(y, k0))
     k[0] = k0
     k_flat = k.reshape(7, -1)
-    h = _initial_step(y, k0, span, rtol, atol) if h_init is None else min(h_init, span)
-    t = t0
-    steps = 0
-    while t < t1:
-        h = min(h, t1 - t)
+    h = _initial_step(y, k0, float(times[1]) - t, rtol, atol)
+    idx = 1
+    while idx < n:
+        t_next = float(times[idx])
+        cut = h >= t_next - t
+        if cut:
+            h = t_next - t
         if h < h_min:
             raise StepSizeUnderflow(f"step size {h:.3e} underflow at t = {t:.6g}")
         # cast once so the stage products run in the state's own dtype
@@ -286,12 +300,13 @@ def _adaptive_rk(
         err_vec = ((h * _DP_ERR).astype(k.dtype) @ k_flat).reshape(y.shape)
         err = _error_norm(err_vec, np.abs(y), y_new, rtol, atol)
         if err <= 1.0:
-            t += h
+            t = t_next if cut else t + h
             y = y_new
             k[0] = k[6]  # first-same-as-last
-            steps += 1
+            if cut:
+                yield y
+                idx += 1
         h *= _step_factor(err)
-    return y, steps, h
 
 
 def _linear_krylov(
@@ -500,8 +515,8 @@ def evolve(
     rho0: DensityMatrix,
     params: OscillatorParams,
     grid: TimeGrid,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    rtol: float = RTOL,
+    atol: float = ATOL,
 ) -> Trajectory:
     """Master-equation evolution of rho0 recorded at the grid times.
 
@@ -642,14 +657,10 @@ def linear_damping_amplitude(
     return complex(alpha0) * decay + (params.pump / params.loss) * (1.0 - decay)
 
 
-def _classical_rhs(params: OscillatorParams) -> Callable[[np.ndarray], np.ndarray]:
+def _alpha_rate(alpha: complex, params: OscillatorParams) -> complex:
+    """d alpha/dt = p - 2iG|alpha|^2 alpha - gamma0 alpha."""
     p, g, g0 = params.pump, params.kerr, params.loss
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        alpha = y[0]
-        return np.array([p - 2j * g * abs(alpha) ** 2 * alpha - g0 * alpha])
-
-    return rhs
+    return p - 2j * g * abs(alpha) ** 2 * alpha - g0 * alpha
 
 
 def classical_path(
@@ -660,21 +671,14 @@ def classical_path(
     atol: float = 1e-12,
 ) -> SemiclassicalPath:
     """Integrate d alpha/dt = p - 2iG|alpha|^2 alpha - gamma0 alpha on the grid."""
-    if rtol <= 0:
-        raise ValueError("rtol must be > 0")
-    rhs = _classical_rhs(params)
-    y = np.array([complex(alpha0)])
-    alphas = [complex(alpha0)]
-    h_last: float | None = None
-    times = grid.times
-    for idx in range(1, times.shape[0]):
-        y, _, h_last = _adaptive_rk(
-            rhs, y, float(times[idx - 1]), float(times[idx]), rtol, atol, h_init=h_last
-        )
-        alphas.append(complex(y[0]))
-    return SemiclassicalPath(
-        times=grid, alpha=np.array(alphas), noise_B=None, noise_C=None
-    )
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        return np.array([_alpha_rate(y[0], params)])
+
+    y0 = np.array([complex(alpha0)])
+    samples = _adaptive_rk(rhs, y0, grid.times, rtol, atol)
+    alpha = np.array([y0[0]] + [y[0] for y in samples])
+    return SemiclassicalPath(times=grid, alpha=alpha, noise_B=None, noise_C=None)
 
 
 def linearized_noise_path(
@@ -697,34 +701,17 @@ def linearized_noise_path(
     """
     if B0 < 0:
         raise ValueError("B0 must be >= 0")
-    p, g0 = params.pump, params.loss
-    g = params.kerr
 
     def rhs(y: np.ndarray) -> np.ndarray:
         alpha, b, c = y
         coeffs = linearized_coeffs(alpha, params)
         gam, dlt = coeffs.gamma_eff, coeffs.delta_eff
-        d_alpha = p - 2j * g * abs(alpha) ** 2 * alpha - g0 * alpha
         d_b = -(gam + np.conj(gam)) * b - (np.conj(dlt) * c + dlt * np.conj(c))
         d_c = -dlt * (1.0 + 2.0 * b) - 2.0 * gam * c
-        return np.array([d_alpha, d_b, d_c])
+        return np.array([_alpha_rate(alpha, params), d_b, d_c])
 
-    y = np.array([complex(alpha0), complex(B0), complex(C0)])
-    alphas = [complex(alpha0)]
-    bs = [float(B0)]
-    cs = [complex(C0)]
-    h_last: float | None = None
-    times = grid.times
-    for idx in range(1, times.shape[0]):
-        y, _, h_last = _adaptive_rk(
-            rhs, y, float(times[idx - 1]), float(times[idx]), rtol, atol, h_init=h_last
-        )
-        alphas.append(complex(y[0]))
-        bs.append(float(y[1].real))
-        cs.append(complex(y[2]))
+    y0 = np.array([complex(alpha0), complex(B0), complex(C0)])
+    ys = np.array([y0] + list(_adaptive_rk(rhs, y0, grid.times, rtol, atol)))
     return SemiclassicalPath(
-        times=grid,
-        alpha=np.array(alphas),
-        noise_B=np.array(bs),
-        noise_C=np.array(cs),
+        times=grid, alpha=ys[:, 0], noise_B=ys[:, 1].real, noise_C=ys[:, 2]
     )

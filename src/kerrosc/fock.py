@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
     DriftTooLarge,
+    EigSolverFailure,
     IndexOutOfRange,
     ZeroNorm,
 )
@@ -107,6 +109,8 @@ class DensityMatrix:
 
     `spectrum` holds the ascending eigenvalues found by the positivity
     check, read-only, so the spectral measures need not decompose again.
+    `eigenpairs` is the full decomposition, computed on first use and kept,
+    so a state compared against many others is decomposed once.
     """
 
     elements: np.ndarray
@@ -132,6 +136,15 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return int(self.elements.shape[0])
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors, as `np.linalg.eigh` gives."""
+        try:
+            w, v = np.linalg.eigh(self.elements)
+        except np.linalg.LinAlgError as exc:
+            raise EigSolverFailure(str(exc)) from exc
+        return _read_only(w), _read_only(v)
 
 
 def default_cutoff(mean_n_init: float) -> FockCutoff:
@@ -168,6 +181,16 @@ def _poisson_tail(alpha: complex, n_cut: int) -> float:
             return tail
 
 
+def _require_coherent_fits(alpha: complex, cutoff: FockCutoff) -> None:
+    """Raise `CutoffTooSmall` unless |alpha> has < 1e-8 of its mass past the cutoff."""
+    tail = _poisson_tail(alpha, cutoff.n_cut)
+    if tail >= 1e-8:
+        raise CutoffTooSmall(
+            f"coherent amplitude {alpha} has tail mass {tail:.3e} beyond "
+            f"n_cut = {cutoff.n_cut} (needs < 1e-8)"
+        )
+
+
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Unnormalized truncated coherent amplitudes by stable recurrence."""
     c = np.empty(dim, dtype=complex)
@@ -183,11 +206,7 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> StateVector:
     The recurrence c_{k+1} = c_k * alpha / sqrt(k+1) starting from
     c_0 = exp(-|alpha|^2/2) avoids factorial overflow.
     """
-    tail = _poisson_tail(alpha, cutoff.n_cut)
-    if tail >= 1e-8:
-        raise CutoffTooSmall(
-            f"coherent tail mass {tail:.3e} beyond n_cut={cutoff.n_cut} (needs < 1e-8)"
-        )
+    _require_coherent_fits(alpha, cutoff)
     c = _coherent_amplitudes(alpha, cutoff.dim)
     return StateVector(c / np.linalg.norm(c))
 
@@ -219,11 +238,7 @@ def coherent_superposition(
     if not components:
         raise ValueError("superposition needs at least one component")
     for _, alpha in components:
-        tail = _poisson_tail(alpha, cutoff.n_cut)
-        if tail >= 1e-8:
-            raise CutoffTooSmall(
-                f"component alpha={alpha} tail mass {tail:.3e} (needs < 1e-8)"
-            )
+        _require_coherent_fits(alpha, cutoff)
     norm2 = 0.0
     for wi, ai in components:
         for wk, ak in components:

@@ -140,10 +140,7 @@ def photon_distribution(rho: DensityMatrix) -> np.ndarray:
 
 def spectral_decomposition(rho: DensityMatrix) -> SpectralDecomposition:
     """Eigendecomposition with weights sorted descending and clipped to [0, 1]."""
-    try:
-        w, v = np.linalg.eigh(rho.elements)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
+    w, v = rho.eigenpairs
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, 1.0)
     states = tuple(StateVector(v[:, k]) for k in order)
@@ -202,36 +199,17 @@ def max_linear_entropy_bound(mean_n: float) -> tuple[float, np.ndarray]:
     return l_max, np.clip(weights, 0.0, None)
 
 
-def target_eigenpairs(sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of sigma, as `np.linalg.eigh` gives.
-
-    Decompose a fixed target once and pass the pair to `bures_distance_eig`
-    and `relative_entropy_eig` for every state compared against it.
-    """
-    try:
-        return np.linalg.eigh(sigma.elements)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
-
-
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Bures distance D_B = 2 - 2 Tr{[sqrt(sigma) rho sqrt(sigma)]^{1/2}}.
 
     Both square roots go through Hermitian eigendecompositions with
-    eigenvalues clipped at zero; the result is clamped into [0, 2].
+    eigenvalues clipped at zero; the result is clamped into [0, 2].  sigma's
+    decomposition is its cached `eigenpairs`, so comparing many states
+    against one target decomposes the target once.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
-    return bures_distance_eig(rho, target_eigenpairs(sigma))
-
-
-def bures_distance_eig(
-    rho: DensityMatrix, sigma_eig: tuple[np.ndarray, np.ndarray]
-) -> float:
-    """`bures_distance` against the sigma decomposed by `target_eigenpairs`."""
-    sw, sv = sigma_eig
-    if rho.dim != sw.shape[0]:
-        raise DimensionMismatch(f"dims {rho.dim} != {sw.shape[0]}")
+    sw, sv = sigma.eigenpairs
     s_root = (sv * np.sqrt(np.clip(sw, 0.0, None))) @ sv.conj().T
     inner = s_root @ rho.elements @ s_root
     try:
@@ -245,22 +223,14 @@ def bures_distance_eig(
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy Tr{rho (ln rho - ln sigma)}.
 
-    Evaluated in sigma's eigenbasis with eigenvalue floor 1e-12.  If rho puts
-    more than 1e-6 of its weight on sigma-eigenvectors below the floor the
-    quantity is effectively infinite and a SupportMismatch is raised.
+    Evaluated in sigma's eigenbasis (its cached `eigenpairs`) with eigenvalue
+    floor 1e-12.  If rho puts more than 1e-6 of its weight on
+    sigma-eigenvectors below the floor the quantity is effectively infinite
+    and a SupportMismatch is raised.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
-    return relative_entropy_eig(rho, target_eigenpairs(sigma))
-
-
-def relative_entropy_eig(
-    rho: DensityMatrix, sigma_eig: tuple[np.ndarray, np.ndarray]
-) -> float:
-    """`relative_entropy` against the sigma decomposed by `target_eigenpairs`."""
-    sw, sv = sigma_eig
-    if rho.dim != sw.shape[0]:
-        raise DimensionMismatch(f"dims {rho.dim} != {sw.shape[0]}")
+    sw, sv = sigma.eigenpairs
     # weight of rho along each sigma eigenvector
     rho_diag = np.einsum("ji,ji->i", sv.conj(), rho.elements @ sv).real
     outside = float(np.sum(rho_diag[sw < _LOG_FLOOR]))

@@ -26,6 +26,8 @@ from .config import (
     TimeseriesOutput,
 )
 from .dynamics import (
+    ATOL,
+    RTOL,
     TimeGrid,
     Trajectory,
     classical_path,
@@ -59,20 +61,17 @@ from .gaussian import (
     strong_pump_estimates,
 )
 from .measures import (
-    bures_distance_eig,
+    bures_distance,
     linear_entropy_and_purity,
     moments,
-    relative_entropy_eig,
+    relative_entropy,
     spectral_decomposition,
-    target_eigenpairs,
     von_neumann_entropy,
 )
 from .quasidist import QuasiGrid, quasidistribution
 from .steady import steady_density
 from .version import __version__
 
-_RTOL = 1e-8
-_ATOL = 1e-10
 _FMT = "%.17g"
 
 
@@ -101,7 +100,7 @@ def _header_lines(name: str, params: OscillatorParams, n_cut: int) -> list[str]:
         f"# params: pump={_fmt_complex(params.pump)} kerr={_fmt(params.kerr)} "
         f"loss={_fmt(params.loss)}",
         f"# cutoff: {n_cut}",
-        f"# rtol: {_fmt(_RTOL)} atol: {_fmt(_ATOL)}",
+        f"# rtol: {_fmt(RTOL)} atol: {_fmt(ATOL)}",
     ]
 
 
@@ -174,7 +173,7 @@ def _compute_trajectory(
     try:
         if params.pump == 0:
             return unpumped_evolve(rho0, params, grid)
-        return evolve(rho0, params, grid, rtol=_RTOL, atol=_ATOL)
+        return evolve(rho0, params, grid)
     except (
         StepSizeUnderflow, DriftTooLarge, CutoffExceeded, PositivityLost
     ) as exc:
@@ -358,17 +357,18 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 rows,
             )
         elif isinstance(spec, DistanceToSteadyOutput):
-            target_eig = target_eigenpairs(steady_density(params, cutoff))
+            # cached across outputs, so its decomposition is too
+            rho_ss = steady_density(params, cutoff)
             rows = []
             for t, state in zip(grid.times, traj.states):
                 try:
-                    rel = relative_entropy_eig(state, target_eig)
+                    rel = relative_entropy(state, rho_ss)
                 except SupportMismatch:
                     # the state still has weight outside the numerical
                     # support of the stationary state, so the relative
                     # entropy is effectively infinite; leave the cell empty
                     rel = None
-                rows.append([float(t), bures_distance_eig(state, target_eig), rel])
+                rows.append([float(t), bures_distance(state, rho_ss), rel])
             _write_csv(
                 emit(f"{config.name}_distance.csv"),
                 header,

@@ -7,6 +7,7 @@ rendering, and the CLI exit-code contract.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 import yaml
 
 import kerrosc
+import kerrosc.runner
 from kerrosc.cli import main
 from kerrosc.config import (
     CoherentInit,
@@ -34,6 +36,7 @@ from kerrosc.errors import IntegrationFailure, IoError
 from kerrosc.fock import FockCutoff, OscillatorParams, coherent_state
 from kerrosc.gaussian import gaussian_vs_exact_report
 from kerrosc.quasidist import QuasiGrid
+from kerrosc.steady import steady_density
 from kerrosc.runner import (
     RunReport,
     _write_grid_file,
@@ -302,6 +305,29 @@ class TestRunScenario:
         assert lines[3] == "# cutoff: 30"
         assert lines[4] == "# rtol: 1e-08 atol: 1e-10"
         assert lines[5].startswith("t,mean_n,re_mean_a,")
+
+    def test_distance_decomposes_the_stationary_state_once(self, tmp_path, monkeypatch):
+        # every sampled state is compared against the one cached steady state,
+        # whose eigendecomposition is kept with it
+        text = GOOD_YAML.split("outputs:")[0] + "outputs:\n  - kind: distance_to_steady\n"
+        config = validate_config(text)
+        # a fresh cache, so no earlier test has decomposed the target yet
+        fresh = functools.lru_cache(maxsize=16)(steady_density.__wrapped__)
+        monkeypatch.setattr(kerrosc.runner, "steady_density", fresh)
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            decomposed.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        run_scenario(config, tmp_path)
+        rho_ss = fresh(config.params, FockCutoff(config.cutoff))
+        assert len(decomposed) == 1
+        assert np.array_equal(decomposed[0], rho_ss.elements)
+        rows = (tmp_path / "smoke_distance.csv").read_text().splitlines()[6:]
+        assert len(rows) == 4  # t = 0, 0.125, 0.5 and 1
 
     def test_timeseries_rows(self, run_once):
         out, _ = run_once

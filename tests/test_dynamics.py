@@ -17,6 +17,7 @@ hypothesis.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -362,6 +363,12 @@ class TestClassicalPath:
         with pytest.raises(ValueError):
             classical_path(1.0, params, TimeGrid.uniform(1.0, 2), rtol=-1e-8)
 
+    @pytest.mark.parametrize("tol", [{"rtol": 0.0}, {"atol": 0.0}, {"atol": -1e-12}])
+    def test_nonpositive_tolerances_rejected(self, tol):
+        params = OscillatorParams(pump=0.0j, kerr=0.1, loss=0.1)
+        with pytest.raises(ValueError, match="rtol and atol must be > 0"):
+            classical_path(1.0, params, TimeGrid.uniform(1.0, 2), **tol)
+
 
 class TestLinearizedNoisePath:
     def test_converges_to_algebraic_fixed_point(self, ref_params):
@@ -391,6 +398,19 @@ class TestLinearizedNoisePath:
     def test_negative_initial_noise_rejected(self, ref_params):
         with pytest.raises(ValueError):
             linearized_noise_path(0.0j, -0.1, 0.0j, ref_params, TimeGrid.uniform(1.0, 2))
+
+    @pytest.mark.parametrize(
+        "tol", [{"rtol": -1e-8}, {"rtol": 0.0}, {"atol": 0.0}, {"atol": -1e-12}]
+    )
+    def test_nonpositive_tolerances_rejected(self, ref_params, tol):
+        # a typed ValueError, not a complex comparison's TypeError or the
+        # NaN warnings of a zero error scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rtol and atol must be > 0"):
+                linearized_noise_path(
+                    0.5j, 0.0, 0.0j, ref_params, TimeGrid.uniform(1.0, 2), **tol
+                )
 
 
 class TestSemiclassicalPathValidation:
@@ -543,11 +563,30 @@ class TestAdaptiveRK:
         ids=["scalar", "3-vector"],
     )
     def test_linear_ode_matches_exponential(self, lam, y0):
-        rtol, atol, t1 = 1e-9, 1e-12, 2.5
-        y, steps, h = _adaptive_rk(lambda y: lam * y, y0, 0.0, t1, rtol, atol)
-        exact = y0 * np.exp(lam * t1)
-        assert steps > 0 and h > 0.0
-        np.testing.assert_allclose(y, exact, rtol=20 * rtol, atol=atol)
+        rtol, atol = 1e-9, 1e-12
+        times = np.array([0.0, 0.013, 0.4, 0.41, 1.7, 2.5])
+        samples = list(_adaptive_rk(lambda y: lam * y, y0, times, rtol, atol))
+        assert len(samples) == times.shape[0] - 1
+        for t, y in zip(times[1:], samples):
+            np.testing.assert_allclose(y, y0 * np.exp(lam * t), rtol=20 * rtol, atol=atol)
+
+    def test_samples_end_steps_and_carry_the_derivative(self):
+        # one f call for the start, then six per trial step: no segment
+        # re-evaluates f at a sample, however many samples there are
+        calls = 0
+
+        def f(y):
+            nonlocal calls
+            calls += 1
+            return -0.5 * y
+
+        times = np.linspace(0.0, 1.0, 41)
+        samples = list(_adaptive_rk(f, np.array([1.0 + 0.0j]), times, 1e-9, 1e-12))
+        assert (calls - 1) % 6 == 0
+        assert calls - 1 < 6 * 2 * len(samples)
+        np.testing.assert_allclose(
+            np.concatenate(samples), np.exp(-0.5 * times[1:]), rtol=1e-8
+        )
 
 
 def _linear(apply: Callable[[np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:

@@ -35,7 +35,6 @@ from kerrosc.fock import (
 from kerrosc.measures import (
     MomentSet,
     bures_distance,
-    bures_distance_eig,
     chaotic_reference,
     fano,
     linear_entropy_and_purity,
@@ -43,10 +42,8 @@ from kerrosc.measures import (
     moments,
     photon_distribution,
     relative_entropy,
-    relative_entropy_eig,
     spectral_decomposition,
     squeezing,
-    target_eigenpairs,
     von_neumann_entropy,
 )
 
@@ -351,19 +348,27 @@ class TestBandMoments:
         assert abs(m.C + m.mean_a**2 - np.trace(el @ a @ a)) < 1e-12
 
 
-class TestDistanceEigenpairs:
-    def test_matches_public_functions_bit_for_bit(self, rng):
+class TestCachedTargetDecomposition:
+    def test_matches_fresh_decomposition_bit_for_bit(self, rng):
         sigma = random_density(rng, dim=10)
-        sigma_eig = target_eigenpairs(sigma)
         for _ in range(3):
             rho = random_density(rng, dim=10)
-            assert bures_distance_eig(rho, sigma_eig) == bures_distance(rho, sigma)
-            assert relative_entropy_eig(rho, sigma_eig) == relative_entropy(rho, sigma)
+            # a fresh copy decomposes sigma anew; the reused one reads its cache
+            fresh = DensityMatrix(sigma.elements)
+            assert bures_distance(rho, sigma) == bures_distance(rho, fresh)
+            assert relative_entropy(rho, sigma) == relative_entropy(rho, fresh)
+        w, v = np.linalg.eigh(sigma.elements)
+        assert np.array_equal(sigma.eigenpairs[0], w)
+        assert np.array_equal(sigma.eigenpairs[1], v)
+        assert sigma.eigenpairs is sigma.eigenpairs
+        assert not sigma.eigenpairs[0].flags.writeable
+        assert not sigma.eigenpairs[1].flags.writeable
 
     def test_dimension_mismatch(self, rng):
-        sigma_eig = target_eigenpairs(random_density(rng, dim=4))
+        sigma = random_density(rng, dim=4)
+        sigma.eigenpairs  # decomposed before the mismatched call
         rho = random_density(rng, dim=5)
         with pytest.raises(DimensionMismatch):
-            bures_distance_eig(rho, sigma_eig)
+            bures_distance(rho, sigma)
         with pytest.raises(DimensionMismatch):
-            relative_entropy_eig(rho, sigma_eig)
+            relative_entropy(rho, sigma)
