@@ -5,8 +5,9 @@ Each bundled scenario reproduces one figure-style artifact (time series,
 phase-space grids, or report tables).  Grids are also rendered to portable
 greymaps unless --no-render is given.  A scenario that fails with a package
 error is reported and counted, and the sweep goes on to the next one.  The
-last line totals the scenarios run, the failures, the accepted integrator
-steps and the wall time; the exit code is 1 if any scenario failed.  The
+second-to-last line gives the sweep's peak resident memory; the last line
+totals the scenarios run, the failures, the accepted integrator steps and
+the wall time.  The exit code is 1 if any scenario failed.  The
 pumped evolutions to t = 10..20 dominate the runtime; with --no-render the
 sweep takes about 10 s on a 2-vCPU machine.
 """
@@ -14,6 +15,7 @@ sweep takes about 10 s on a 2-vCPU machine.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from importlib import resources
@@ -77,6 +79,10 @@ def main(argv: list[str] | None = None) -> int:
             for path in report.files:
                 if path.endswith(".grid"):
                     render_grid(path)
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mb = peak / (2**20 if sys.platform == "darwin" else 2**10)
+    print(f"peak resident memory: {peak_mb:.1f} MB")
     print(f"total: {scenarios} scenario(s), {failures} failure(s), "
           f"{total_steps} step(s), {time.perf_counter() - sweep_start:.1f} s")
     return 1 if failures else 0

@@ -43,6 +43,7 @@ from .dynamics import (
     linear_damping_amplitude,
     linearized_noise_path,
     liouvillian_apply,
+    stream_evolution,
     unpumped_evolve,
 )
 from .errors import (

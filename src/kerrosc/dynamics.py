@@ -35,8 +35,17 @@ the same polynomial as sum_j c_j s^j v_j, the step of size s from y, so the
 step sequence and the final state do not depend on the output grid.
 
 Without pump the master equation has an exact solution, each diagonal of rho
-evolving on its own; `unpumped_evolve` evaluates it at the sample times with
-no integration and passes every output through the same guards as `evolve`.
+evolving on its own; `unpumped_evolve` evaluates it at the sample times, in
+blocks of `_MAP_BLOCK` times, with no integration.
+
+Both engines feed one driver, `_guarded_stream`, which runs the drift,
+tail-mass and positivity guards on each output in time order and hands it to
+a per-sample callback, keeping nothing itself.  `evolve` and `unpumped_evolve`
+collect every output into a `Trajectory`; `stream_evolution`, the scenario
+runner's entry, picks the engine (the exact map at pump 0) and leaves the
+keeping to its callback, so a run's memory need not grow with its sample
+count.
+
 Alongside them live the closed-form maps used as oracles and cheap
 approximations: the lossless Kerr phase map, the linear-damping amplitude, and
 the nonlinear classical amplitude and linearized noise-moment ODEs.  Those two
@@ -131,6 +140,15 @@ _KRYLOV_W_EXP[2, 1:] = _KRYLOV_POWERS
 
 # levels below the truncation edge whose population the tail guard watches
 _TAIL_MARGIN = 5
+# sample times per `_unpumped_map` call, so an exact run holds at most this
+# many raw states whatever its sample count
+_MAP_BLOCK = 64
+# a sample source for `_guarded_stream`: called with the projection, it
+# yields (sample, (steps, rejected, rhs_calls)) in time order
+_Samples = Callable[
+    [Callable[[np.ndarray], np.ndarray]],
+    Iterator[tuple[np.ndarray, tuple[int, int, int]]],
+]
 # default master-equation tolerances of `evolve`, echoed in every artifact header
 RTOL = 1e-8
 ATOL = 1e-10
@@ -452,26 +470,27 @@ def liouvillian_apply(rho: DensityMatrix, params: OscillatorParams) -> np.ndarra
     return liouvillian_generator(params, rho.dim)(np.array(rho.elements))
 
 
-def _guarded_trajectory(
+def _guarded_stream(
     rho0: DensityMatrix,
     grid: TimeGrid,
-    samples: Callable[
-        [Callable[[np.ndarray], np.ndarray]],
-        Iterator[tuple[np.ndarray, tuple[int, int, int]]],
-    ],
-) -> Trajectory:
-    """Record rho0 and the samples at grid.times[1:] behind the output guards.
+    samples: _Samples,
+    on_sample: Callable[[float, DensityMatrix, StepDiagnostics], None],
+) -> StepDiagnostics:
+    """Pass rho0 and the samples at grid.times[1:] through the output guards.
 
-    `samples(project)` yields (sample, (steps, rejected, rhs_calls)) in time
-    order, the counts of `StepDiagnostics`.  `project` hermitizes and
-    renormalizes a raw state and adds its |trace - 1| to the drift of the
-    current output segment; every state a source produces (for the
-    integrator, each accepted step as well as each sample) goes through it.
-    At each output, in time order: the drift since the previous output must
-    stay below 1e-8 per unit time (else `DriftTooLarge`), the population
-    within `_TAIL_MARGIN` entries of the truncation edge below 1e-6 (else
-    `CutoffExceeded`), and the sample must then pass the `DensityMatrix`
-    check (else `PositivityLost`).
+    The one driver of every evolution: `on_sample(t, state, diagnostics)`
+    sees each output in time order, and the last `StepDiagnostics` is
+    returned.  Nothing is kept here, so a caller that keeps no states runs
+    in memory independent of the sample count.  `samples(project)` yields
+    (sample, (steps, rejected, rhs_calls)) in time order, the counts of
+    `StepDiagnostics`.  `project` hermitizes and renormalizes a raw state
+    and adds its |trace - 1| to the drift of the current output segment;
+    every state a source produces (for the integrator, each accepted step as
+    well as each sample) goes through it.  At each output, in time order:
+    the drift since the previous output must stay below 1e-8 per unit time
+    (else `DriftTooLarge`), the population within `_TAIL_MARGIN` entries of
+    the truncation edge below 1e-6 (else `CutoffExceeded`), and the sample
+    must then pass the `DensityMatrix` check (else `PositivityLost`).
     """
     dim = rho0.dim
     margin = min(_TAIL_MARGIN, dim - 1)
@@ -483,9 +502,9 @@ def _guarded_trajectory(
         drift_acc += abs(tr - 1.0)
         return (0.5 / tr) * (y + y.conj().T)
 
-    states = [rho0]
-    diags = [StepDiagnostics(0.0, tail_mass(rho0, margin), 0, 0, 0)]
     times = grid.times
+    diag = StepDiagnostics(0.0, tail_mass(rho0, margin), 0, 0, 0)
+    on_sample(float(times[0]), rho0, diag)
     for idx, (y, counts) in enumerate(samples(project), start=1):
         ta, tb = float(times[idx - 1]), float(times[idx])
         budget = 1e-8 * max(1.0, tb - ta)
@@ -505,10 +524,34 @@ def _guarded_trajectory(
             state = DensityMatrix(y)
         except ValueError as exc:
             raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
-        states.append(state)
-        diags.append(StepDiagnostics(drift_acc, tm, *counts))
+        diag = StepDiagnostics(drift_acc, tm, *counts)
+        on_sample(tb, state, diag)
         drift_acc = 0.0
+    return diag
+
+
+def _collect(rho0: DensityMatrix, grid: TimeGrid, samples: _Samples) -> Trajectory:
+    """Every output of `_guarded_stream`, kept as a `Trajectory`."""
+    states: list[DensityMatrix] = []
+    diags: list[StepDiagnostics] = []
+
+    def keep(t: float, state: DensityMatrix, diag: StepDiagnostics) -> None:
+        states.append(state)
+        diags.append(diag)
+
+    _guarded_stream(rho0, grid, samples, keep)
     return Trajectory(times=grid, states=tuple(states), diagnostics=tuple(diags))
+
+
+def _krylov_samples(
+    rho0: DensityMatrix, params: OscillatorParams, grid: TimeGrid, rtol: float, atol: float
+) -> _Samples:
+    """The sample source of `evolve`: one `_linear_krylov` integration."""
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("rtol and atol must be > 0")
+    rhs = liouvillian_generator(params, rho0.dim)
+    y0 = np.array(rho0.elements, dtype=complex)
+    return lambda project: _linear_krylov(rhs, y0, grid.times, rtol, atol, project)
 
 
 def evolve(
@@ -527,20 +570,13 @@ def evolve(
     step sequence and the final state do not depend on how densely the grid
     samples.  Every accepted step and every sample is hermitized and
     renormalized, and each output passes the drift, tail-mass and positivity
-    guards of `_guarded_trajectory` (`DriftTooLarge`, `CutoffExceeded`,
+    guards of `_guarded_stream` (`DriftTooLarge`, `CutoffExceeded`,
     `PositivityLost`).  `StepDiagnostics` counts the accepted steps completed
     at or before the output time, and the rejected steps and RHS calls
-    (1 + 7 per accepted step) made so far.
+    (1 + 7 per accepted step) made so far.  Every state is kept, so memory
+    grows with the sample count; `stream_evolution` keeps none.
     """
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be > 0")
-    rhs = liouvillian_generator(params, rho0.dim)
-    y0 = np.array(rho0.elements, dtype=complex)
-    return _guarded_trajectory(
-        rho0,
-        grid,
-        lambda project: _linear_krylov(rhs, y0, grid.times, rtol, atol, project),
-    )
+    return _collect(rho0, grid, _krylov_samples(rho0, params, grid, rtol, atol))
 
 
 def _unpumped_map(
@@ -611,6 +647,23 @@ def _unpumped_map(
     return out
 
 
+def _unpumped_samples(rho0: DensityMatrix, params: OscillatorParams, grid: TimeGrid) -> _Samples:
+    """The sample source of `unpumped_evolve`: `_unpumped_map` in blocks of sample times.
+
+    At most `_MAP_BLOCK` states are held at once, whatever the sample count.
+    """
+    if params.pump != 0:
+        raise PumpNotZero(f"the exact map needs pump = 0, got {params.pump}")
+    times = grid.times[1:]
+
+    def samples(project):
+        for first in range(0, times.shape[0], _MAP_BLOCK):
+            for y in _unpumped_map(rho0.elements, params, times[first : first + _MAP_BLOCK]):
+                yield project(y), (0, 0, 0)
+
+    return samples
+
+
 def unpumped_evolve(
     rho0: DensityMatrix,
     params: OscillatorParams,
@@ -622,12 +675,29 @@ def unpumped_evolve(
     is hermitized, renormalized and checked exactly as in `evolve`, and
     every `StepDiagnostics` count is 0.  Raises `PumpNotZero` for pump != 0.
     """
-    if params.pump != 0:
-        raise PumpNotZero(f"the exact map needs pump = 0, got {params.pump}")
-    raw = _unpumped_map(rho0.elements, params, grid.times[1:])
-    return _guarded_trajectory(
-        rho0, grid, lambda project: ((project(y), (0, 0, 0)) for y in raw)
-    )
+    return _collect(rho0, grid, _unpumped_samples(rho0, params, grid))
+
+
+def stream_evolution(
+    rho0: DensityMatrix,
+    params: OscillatorParams,
+    grid: TimeGrid,
+    on_sample: Callable[[float, DensityMatrix, StepDiagnostics], None],
+) -> StepDiagnostics:
+    """Evolve rho0 over the grid, handing each output to `on_sample`; keep nothing.
+
+    The engine rule of a scenario run: without pump the exact map of
+    `unpumped_evolve`, otherwise the Krylov integration of `evolve` at the
+    default tolerances.  Each output passes the same guards and raises the
+    same errors as there, reaches `on_sample(t, state, diagnostics)` in time
+    order, and the last `StepDiagnostics` is returned.  Memory does not grow
+    with the sample count unless `on_sample` keeps the states.
+    """
+    if params.pump == 0:
+        samples = _unpumped_samples(rho0, params, grid)
+    else:
+        samples = _krylov_samples(rho0, params, grid, RTOL, ATOL)
+    return _guarded_stream(rho0, grid, samples, on_sample)
 
 
 def kerr_lossless_evolve(psi0: StateVector, kerr: float, t: float) -> StateVector:

@@ -109,8 +109,9 @@ class DensityMatrix:
 
     `spectrum` holds the ascending eigenvalues found by the positivity
     check, read-only, so the spectral measures need not decompose again.
-    `eigenpairs` is the full decomposition, computed on first use and kept,
-    so a state compared against many others is decomposed once.
+    `eigenpairs` is the full decomposition and `root` the matrix square root
+    built from it, each computed on first use and kept, so a state compared
+    against many others is decomposed and rooted once.
     """
 
     elements: np.ndarray
@@ -145,6 +146,12 @@ class DensityMatrix:
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
         return _read_only(w), _read_only(v)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """sqrt(rho) from `eigenpairs`, with the eigenvalues clipped at 0."""
+        w, v = self.eigenpairs
+        return _read_only((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
 def default_cutoff(mean_n_init: float) -> FockCutoff:

@@ -203,14 +203,13 @@ def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Bures distance D_B = 2 - 2 Tr{[sqrt(sigma) rho sqrt(sigma)]^{1/2}}.
 
     Both square roots go through Hermitian eigendecompositions with
-    eigenvalues clipped at zero; the result is clamped into [0, 2].  sigma's
-    decomposition is its cached `eigenpairs`, so comparing many states
-    against one target decomposes the target once.
+    eigenvalues clipped at zero; the result is clamped into [0, 2].  sqrt(sigma)
+    is its cached `root`, so comparing many states against one target
+    decomposes and roots the target once.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
-    sw, sv = sigma.eigenpairs
-    s_root = (sv * np.sqrt(np.clip(sw, 0.0, None))) @ sv.conj().T
+    s_root = sigma.root
     inner = s_root @ rho.elements @ s_root
     try:
         w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))

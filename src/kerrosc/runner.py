@@ -28,12 +28,11 @@ from .config import (
 from .dynamics import (
     ATOL,
     RTOL,
+    StepDiagnostics,
     TimeGrid,
-    Trajectory,
     classical_path,
-    evolve,
     linearized_noise_path,
-    unpumped_evolve,
+    stream_evolution,
 )
 from .errors import (
     CutoffExceeded,
@@ -45,6 +44,7 @@ from .errors import (
     SupportMismatch,
 )
 from .fock import (
+    DensityMatrix,
     FockCutoff,
     OscillatorParams,
     StateVector,
@@ -61,6 +61,7 @@ from .gaussian import (
     strong_pump_estimates,
 )
 from .measures import (
+    MomentSet,
     bures_distance,
     linear_entropy_and_purity,
     moments,
@@ -164,20 +165,102 @@ def _union_grid(config: ScenarioConfig) -> TimeGrid:
     return TimeGrid(times)
 
 
-def _compute_trajectory(
-    config: ScenarioConfig, psi0: StateVector, grid: TimeGrid
-) -> Trajectory:
-    # Without pump the evolution is the exact map; only pumped runs integrate.
-    params = config.params
-    rho0 = density_from_pure(psi0)
+def _timeseries_row(
+    t: float, state: DensityMatrix, diag: StepDiagnostics, mom: MomentSet
+) -> list:
+    lin, purity = linear_entropy_and_purity(state)
+    return [
+        t,
+        mom.mean_n,
+        mom.mean_a.real,
+        mom.mean_a.imag,
+        von_neumann_entropy(state),
+        lin,
+        purity,
+        mom.fano(),
+        mom.squeezing(),
+        diag.trace_error,
+        diag.tail_mass,
+        float(diag.steps),
+    ]
+
+
+def _distance_row(t: float, state: DensityMatrix, target: DensityMatrix) -> list:
     try:
-        if params.pump == 0:
-            return unpumped_evolve(rho0, params, grid)
-        return evolve(rho0, params, grid)
+        rel = relative_entropy(state, target)
+    except SupportMismatch:
+        # the state still has weight outside the numerical support of the
+        # stationary state, so the relative entropy is effectively
+        # infinite; leave the cell empty
+        rel = None
+    return [t, bures_distance(state, target), rel]
+
+
+@dataclass
+class _Kept:
+    """What a run keeps of its evolution: rows, not states, except where named.
+
+    A list is None when no output asks for it.  `snapshots` maps snapshot
+    times (each one a time of the union grid) to their states, and `final`
+    is the last state.
+    """
+
+    timeseries: list[list] | None
+    mean_a: list[complex] | None
+    distance: list[list] | None
+    snapshots: dict[float, DensityMatrix]
+    first_moments: MomentSet | None = None
+    final: DensityMatrix | None = None
+    steps: int = 0
+
+
+def _consume_evolution(
+    config: ScenarioConfig,
+    psi0: StateVector,
+    grid: TimeGrid,
+    target: DensityMatrix | None,
+) -> _Kept:
+    """Run the evolution once, feeding every output that needs the state.
+
+    Each sample adds a timeseries row, <a> for the classical path and a row
+    of distances to `target` (the stationary state, None without a distance
+    output); states are kept only at snapshot times, plus the last one for
+    the summary.  Evolution failures become `IntegrationFailure`.
+    """
+    specs = config.outputs
+    kept = _Kept(
+        timeseries=[] if any(isinstance(s, TimeseriesOutput) for s in specs) else None,
+        mean_a=[] if any(isinstance(s, ClassicalPathOutput) for s in specs) else None,
+        distance=[] if target is not None else None,
+        snapshots={},
+    )
+    wanted = set()
+    if any(isinstance(s, QuasiGridOutput) and s.target == "snapshots" for s in specs):
+        wanted = set(config.time.snapshot_times)
+
+    def on_sample(t: float, state: DensityMatrix, diag: StepDiagnostics) -> None:
+        if kept.timeseries is not None or kept.mean_a is not None:
+            mom = moments(state)
+            if kept.first_moments is None:
+                kept.first_moments = mom
+            if kept.timeseries is not None:
+                kept.timeseries.append(_timeseries_row(t, state, diag, mom))
+            if kept.mean_a is not None:
+                kept.mean_a.append(mom.mean_a)
+        if kept.distance is not None:
+            kept.distance.append(_distance_row(t, state, target))
+        if t in wanted:
+            kept.snapshots[t] = state
+        kept.final = state
+
+    try:
+        last = stream_evolution(density_from_pure(psi0), config.params, grid, on_sample)
     except (
         StepSizeUnderflow, DriftTooLarge, CutoffExceeded, PositivityLost
     ) as exc:
         raise IntegrationFailure(f"evolution failed: {exc}") from exc
+    kept.steps = last.steps
+    return kept
 
 
 def _needs_trajectory(config: ScenarioConfig) -> bool:
@@ -189,38 +272,6 @@ def _needs_trajectory(config: ScenarioConfig) -> bool:
         if isinstance(out, QuasiGridOutput) and out.target == "snapshots":
             return True
     return False
-
-
-def _snapshot_index(grid: TimeGrid, t: float) -> int:
-    idx = int(np.searchsorted(grid.times, t))
-    if idx >= grid.times.shape[0] or grid.times[idx] != t:
-        raise ValueError(f"snapshot time {t} missing from the evolution grid")
-    return idx
-
-
-def _timeseries_rows(traj: Trajectory) -> list[list]:
-    rows = []
-    for t, state, diag in zip(traj.times.times, traj.states, traj.diagnostics):
-        mom = moments(state)
-        entropy = von_neumann_entropy(state)
-        lin, purity = linear_entropy_and_purity(state)
-        rows.append(
-            [
-                float(t),
-                mom.mean_n,
-                mom.mean_a.real,
-                mom.mean_a.imag,
-                entropy,
-                lin,
-                purity,
-                mom.fano(),
-                mom.squeezing(),
-                diag.trace_error,
-                diag.tail_mass,
-                float(diag.steps),
-            ]
-        )
-    return rows
 
 
 _TIMESERIES_COLUMNS = [
@@ -282,7 +333,15 @@ def _write_grid_file(
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
-    """Run one validated scenario, writing its artifacts under out_dir."""
+    """Run one validated scenario, writing its artifacts under out_dir.
+
+    The evolution, if any output needs it, runs once and its samples are
+    consumed as they come (`_consume_evolution`): only the rows of the
+    outputs and the states at snapshot times are kept, so memory does not
+    grow with the sample count.  A distance output's stationary target is
+    built before the evolution starts.  Files are written after it ends, so
+    a failed evolution leaves no partial file.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -294,11 +353,15 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
     header = _header_lines(config.name, params, cutoff.n_cut)
     psi0 = _initial_vector(config, cutoff)
     grid = _union_grid(config)
-    traj = (
-        _compute_trajectory(config, psi0, grid)
-        if _needs_trajectory(config)
-        else None
-    )
+    kept = None
+    if _needs_trajectory(config):
+        # cached across outputs, so its decomposition is too
+        target = (
+            steady_density(params, cutoff)
+            if any(isinstance(s, DistanceToSteadyOutput) for s in config.outputs)
+            else None
+        )
+        kept = _consume_evolution(config, psi0, grid, target)
 
     files: list[str] = []
 
@@ -313,11 +376,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 emit(f"{config.name}_timeseries.csv"),
                 header,
                 _TIMESERIES_COLUMNS,
-                _timeseries_rows(traj),
+                kept.timeseries,
             )
         elif isinstance(spec, ClassicalPathOutput):
-            moms = [moments(state) for state in traj.states]
-            mom0 = moms[0]
+            mom0 = kept.first_moments
             if spec.with_noise:
                 path = linearized_noise_path(
                     mom0.mean_a, mom0.B, mom0.C, params, grid
@@ -327,7 +389,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
             columns = ["t", "re_alpha", "im_alpha", "re_mean_a", "im_mean_a"]
             rows = []
             for i, t in enumerate(grid.times):
-                q = moms[i].mean_a
+                q = kept.mean_a[i]
                 row = [float(t), path.alpha[i].real, path.alpha[i].imag, q.real, q.imag]
                 if spec.with_noise:
                     row += [
@@ -357,30 +419,18 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 rows,
             )
         elif isinstance(spec, DistanceToSteadyOutput):
-            # cached across outputs, so its decomposition is too
-            rho_ss = steady_density(params, cutoff)
-            rows = []
-            for t, state in zip(grid.times, traj.states):
-                try:
-                    rel = relative_entropy(state, rho_ss)
-                except SupportMismatch:
-                    # the state still has weight outside the numerical
-                    # support of the stationary state, so the relative
-                    # entropy is effectively infinite; leave the cell empty
-                    rel = None
-                rows.append([float(t), bures_distance(state, rho_ss), rel])
             _write_csv(
                 emit(f"{config.name}_distance.csv"),
                 header,
                 ["t", "bures", "relative_entropy"],
-                rows,
+                kept.distance,
             )
         elif isinstance(spec, QuasiGridOutput):
             re_axis = np.linspace(spec.re_min, spec.re_max, spec.points)
             im_axis = np.linspace(spec.im_min, spec.im_max, spec.points)
             if spec.target == "snapshots":
                 for si, t in enumerate(config.time.snapshot_times):
-                    state = traj.states[_snapshot_index(grid, t)]
+                    state = kept.snapshots[t]
                     g = quasidistribution(state, spec.s, re_axis, im_axis)
                     _write_grid_file(
                         emit(f"{config.name}_grid{oi}_t{si}.grid"),
@@ -412,9 +462,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
 
     summary: dict = {"cutoff": cutoff.n_cut, "dim": cutoff.dim}
     steps = 0
-    if traj is not None:
-        steps = traj.diagnostics[-1].steps
-        final = traj.states[-1]
+    if kept is not None:
+        steps = kept.steps
+        final = kept.final
         mom = moments(final)
         lin, purity = linear_entropy_and_purity(final)
         summary.update(

@@ -54,6 +54,12 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)  # log(i/2)
 
 _MAX_TERMS = 100000
+# a series term past this is rescaled, with its power of two carried apart
+_RESCALE_AT = 2.0**256
+# a scale past 2^_MAX_EXP2 (about e^45000) is out of reach of every caller: the
+# steady-state normalization gets there only near <n> = 22000
+_MAX_EXP2 = 1 << 16
+_LN_2 = math.log(2.0)
 
 
 def _nonpositive_integer(z):
@@ -116,14 +122,20 @@ def complex_lgamma(z: complex) -> complex:
     return _HALF_LOG_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_sum(z))
 
 
-def _hyper_0f2_series(a, b, z) -> tuple[np.ndarray, np.ndarray]:
-    """0F2(a, b; z) and the max |term| seen, elementwise over broadcast arrays.
+def _hyper_0f2_series(a, b, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0F2(a, b; z) as value * 2^exp2, and the max |term| seen on the same scale.
 
-    Each element runs its own series: terms from running Pochhammer products
-    (no Gamma ratios), compensated (Kahan) summation, since for complex
-    parameters the terms rotate in phase and can grow large before decaying,
-    and a stop after three consecutive terms below 1e-16 of the sum.  Only
-    the elements still running are carried on, so a stopped one is final.
+    Elementwise over broadcast arrays.  Each element runs its own series:
+    terms from running Pochhammer products (no Gamma ratios), compensated
+    (Kahan) summation, since for complex parameters the terms rotate in
+    phase and can grow large before decaying, and a stop after three
+    consecutive terms below 1e-16 of the sum.  Only the elements still
+    running are carried on, so a stopped one is final.  Once a term passes
+    `_RESCALE_AT`, that element's term, sum, compensation and max term are
+    divided by the power of two nearest below the term, exactly, and the
+    power goes into exp2: the sum stays in range however large the series
+    gets, and an element that never rescales (exp2 = 0) is summed exactly
+    as without scaling.
     """
     a, b, z = np.broadcast_arrays(
         np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), np.asarray(z, dtype=float)
@@ -134,10 +146,12 @@ def _hyper_0f2_series(a, b, z) -> tuple[np.ndarray, np.ndarray]:
     if (z < 0).any():
         raise ValueError(f"series argument must be >= 0, got {float(z.min())}")
     value, max_term = np.empty(a.size, dtype=complex), np.empty(a.size)
+    exp2 = np.zeros(a.size, dtype=int)
     live = np.arange(a.size)
     total, term = np.ones(a.size, dtype=complex), np.ones(a.size, dtype=complex)
     comp = np.zeros(a.size, dtype=complex)  # Kahan compensation
     peak, small = np.ones(a.size), np.zeros(a.size, dtype=int)
+    shift = np.zeros(a.size, dtype=int)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         while live.size:
@@ -147,21 +161,43 @@ def _hyper_0f2_series(a, b, z) -> tuple[np.ndarray, np.ndarray]:
             comp = (t - total) - y
             total = t
             k += 1
-            if k > _MAX_TERMS or not np.isfinite(total).all():
-                raise NonconvergenceWithinMaxTerms(
-                    f"0F2 series did not converge: past {_MAX_TERMS} terms or out of "
-                    f"the double range after {k} (z = {float(z.max())})"
-                )
             mag = np.abs(term)
             peak = np.maximum(peak, mag)
+            big = mag > _RESCALE_AT
+            out_of_range = False
+            if big.any():
+                up = np.where(big, np.frexp(mag)[1] - 1, 0)
+                scale = np.ldexp(1.0, -up)
+                term, total, comp, peak, mag = (
+                    x * scale for x in (term, total, comp, peak, mag)
+                )
+                shift = shift + up
+                out_of_range = shift.max() > _MAX_EXP2
+            if k > _MAX_TERMS or out_of_range or not np.isfinite(total).all():
+                raise NonconvergenceWithinMaxTerms(
+                    f"0F2 series did not converge: past {_MAX_TERMS} terms or out of "
+                    f"range even scaled after {k} (z = {float(z.max())})"
+                )
             small = np.where(mag < 1e-16 * np.abs(total), small + 1, 0)
             done = small >= 3
             if done.any():
-                value[live[done]], max_term[live[done]] = total[done], peak[done]
-                live, a, b, z, total, comp, term, peak, small = (
-                    x[~done] for x in (live, a, b, z, total, comp, term, peak, small)
+                stop = live[done]
+                value[stop], max_term[stop], exp2[stop] = total[done], peak[done], shift[done]
+                live, a, b, z, total, comp, term, peak, small, shift = (
+                    x[~done] for x in (live, a, b, z, total, comp, term, peak, small, shift)
                 )
-    return value.reshape(shape), max_term.reshape(shape)
+    return value.reshape(shape), max_term.reshape(shape), exp2.reshape(shape)
+
+
+def _unscaled(value: np.ndarray, exp2: np.ndarray, z) -> np.ndarray:
+    """value * 2^exp2; `NonconvergenceWithinMaxTerms` where it leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = value * np.ldexp(1.0, exp2)
+    if not np.isfinite(value).all():
+        raise NonconvergenceWithinMaxTerms(
+            f"0F2 value out of the double range (z = {float(np.max(z))})"
+        )
+    return value
 
 
 def hyper_0f2(a, b, z):
@@ -169,14 +205,16 @@ def hyper_0f2(a, b, z):
 
     Broadcasts over array arguments; scalar arguments return a `complex`.
     """
-    value = _hyper_0f2_series(a, b, z)[0]
+    value, _, exp2 = _hyper_0f2_series(a, b, z)
+    value = _unscaled(value, exp2, z)
     return complex(value) if value.ndim == 0 else value
 
 
 def hyper_0f2_diagnostic(a, b, z):
     """(value, max|term|/|value|): large ratios flag double-precision strain."""
-    value, max_term = _hyper_0f2_series(a, b, z)
+    value, max_term, exp2 = _hyper_0f2_series(a, b, z)
     ratio = max_term / np.abs(value)
+    value = _unscaled(value, exp2, z)
     return (complex(value), float(ratio)) if value.ndim == 0 else (value, ratio)
 
 
@@ -199,7 +237,10 @@ class SteadyParams:
 
     epsilon = -i pump / kerr, lam = -i loss / kerr, and the log of the
     normalization constant C = Gamma(lam*) Gamma(lam) / 0F2(lam*, lam; 2|epsilon|^2),
-    kept as a log because Gamma(lam) underflows at weak Kerr.
+    kept as a log because Gamma(lam) underflows at weak Kerr.  The 0F2 is
+    summed scaled (`_hyper_0f2_series`), its log scale carried into ln_norm_c:
+    its largest term grows like e^(2<n>) and leaves the double range once
+    <n> passes about 350.
     """
 
     epsilon: complex
@@ -215,8 +256,11 @@ class SteadyParams:
         _require_closed_form(params)
         eps = -1j * params.pump / params.kerr
         lam = -1j * params.loss / params.kerr
-        f0 = hyper_0f2(lam.conjugate(), lam, 2.0 * abs(eps) ** 2)
-        ln_norm_c = complex_lgamma(lam.conjugate()) + complex_lgamma(lam) - cmath.log(f0)
+        f0, _, exp2 = _hyper_0f2_series(lam.conjugate(), lam, 2.0 * abs(eps) ** 2)
+        ln_norm_c = (
+            complex_lgamma(lam.conjugate()) + complex_lgamma(lam)
+            - cmath.log(complex(f0)) - float(exp2) * _LN_2
+        )
         return cls(epsilon=eps, lam=lam, ln_norm_c=ln_norm_c)
 
 
@@ -268,6 +312,9 @@ def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:
     <(a^dag)^m a^n> = (eps*)^m eps^n
                       * Gamma(lam*) Gamma(lam) / [Gamma(lam*+m) Gamma(lam+n)]
                       * 0F2(lam*+m, lam+n; 2|eps|^2) / 0F2(lam*, lam; 2|eps|^2)
+
+    Both 0F2 are summed scaled, their log scales added to the log prefactor,
+    so the ratio stays finite where each series alone leaves the double range.
     """
     _require_closed_form(params)
     if m < 0 or n < 0:
@@ -280,4 +327,5 @@ def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:
     lam_c, ln_eps = sp.lam.conjugate(), cmath.log(sp.epsilon)
     ln_pref = sp.ln_norm_c + n * ln_eps + m * ln_eps.conjugate()
     ln_pref -= complex_lgamma(lam_c + m) + complex_lgamma(sp.lam + n)
-    return cmath.exp(ln_pref) * hyper_0f2(lam_c + m, sp.lam + n, 2.0 * abs(sp.epsilon) ** 2)
+    value, _, exp2 = _hyper_0f2_series(lam_c + m, sp.lam + n, 2.0 * abs(sp.epsilon) ** 2)
+    return cmath.exp(ln_pref + float(exp2) * _LN_2) * complex(value)

@@ -638,6 +638,8 @@ class TestCli:
         assert "numerical failure:" in proc.stderr
         assert "minimum eigenvalue" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # rows are collected while the evolution runs; files only after it
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_steady_at_loss_zero_names_the_cause(self, capsys):
         code = main(["steady", "--G", "0.2", "--gamma0", "0", "--p", "5,0"])

@@ -7,6 +7,7 @@ the reference mixed-state families against their defining sums.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -363,6 +364,30 @@ class TestCachedTargetDecomposition:
         assert sigma.eigenpairs is sigma.eigenpairs
         assert not sigma.eigenpairs[0].flags.writeable
         assert not sigma.eigenpairs[1].flags.writeable
+
+    def test_root_is_built_once_per_target(self, rng, monkeypatch):
+        builds = []
+        build = DensityMatrix.root.func
+
+        def counted(self):
+            builds.append(self)
+            return build(self)
+
+        root = functools.cached_property(counted)
+        root.__set_name__(DensityMatrix, "root")
+        monkeypatch.setattr(DensityMatrix, "root", root)
+        sigma = random_density(rng, dim=10)
+        first = bures_distance(random_density(rng, dim=10), sigma)
+        second = bures_distance(random_density(rng, dim=10), sigma)
+        assert builds == [sigma]
+        assert first != second
+
+    def test_root_matches_the_uncached_formula_bit_for_bit(self, rng):
+        sigma = random_density(rng, dim=10)
+        w, v = sigma.eigenpairs
+        assert np.array_equal(sigma.root, (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+        assert sigma.root is sigma.root
+        assert not sigma.root.flags.writeable
 
     def test_dimension_mismatch(self, rng):
         sigma = random_density(rng, dim=4)

@@ -146,6 +146,7 @@ class TestRunAllFigures:
             lines[-1],
         )
         assert total is not None and int(total.group(1)) == steps
+        assert re.fullmatch(r"peak resident memory: [0-9.]+ MB", lines[-2])
 
     def test_failure_is_counted_and_the_sweep_goes_on(self, tmp_path, monkeypatch, capsys):
         module = load_run_all_figures()

@@ -482,3 +482,54 @@ class TestSteadyMoment:
         assert steady_moment(1, 1, ref_params).real == pytest.approx(
             moments(steady_rho).mean_n, rel=1e-9
         )
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 0), (2, 2)])
+    def test_weak_kerr_past_the_double_range_matches_mpmath(self, m, n):
+        # <n> ~ 300: both 0F2 at 2|eps|^2 = 8e8 peak near e^600, past the
+        # double range, so they are summed scaled
+        params = OscillatorParams(pump=20.0 + 0j, kerr=1e-3, loss=1.0)
+        eps, lam = -1j * 20.0 / 1e-3, -1j * 1.0 / 1e-3
+        with mpmath.workdps(30):
+            e, l = mpmath.mpc(eps), mpmath.mpc(lam)
+            lc = mpmath.conj(l)
+            z = 2 * abs(e) ** 2
+            oracle = complex(
+                mpmath.conj(e) ** m * e**n
+                * mpmath.gamma(lc) * mpmath.gamma(l)
+                / (mpmath.gamma(lc + m) * mpmath.gamma(l + n))
+                * mpmath.hyper([], [lc + m, l + n], z)
+                / mpmath.hyper([], [lc, l], z)
+            )
+        assert steady_moment(m, n, params) == pytest.approx(oracle, rel=1e-10)
+
+    def test_scaled_normalization_matches_the_unscaled_series(self, ref_params):
+        # at the bundled point the series never rescales, so nothing moves
+        sp = SteadyParams.from_params(ref_params)
+        f0 = hyper_0f2(np.conj(sp.lam), sp.lam, 2.0 * abs(sp.epsilon) ** 2)
+        plain = complex_lgamma(np.conj(sp.lam)) + complex_lgamma(sp.lam) - cmath.log(f0)
+        assert sp.ln_norm_c == plain
+
+
+class TestScaledSeries:
+    def test_value_past_the_double_range_is_typed(self):
+        # 0F2(1, 1; 1e9) is near e^3000: the scaled sum is fine, the value not
+        with pytest.raises(NonconvergenceWithinMaxTerms):
+            hyper_0f2(1.0, 1.0, 1e9)
+
+    def test_scaled_value_matches_mpmath_in_log(self):
+        value, _, exp2 = steady._hyper_0f2_series(1.0, 1.0, 1e9)
+        assert exp2 > 1024
+        ln_value = cmath.log(complex(value)) + float(exp2) * math.log(2.0)
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.log(mpmath.hyper([], [1, 1], 1e9)))
+        assert ln_value == pytest.approx(oracle, rel=1e-13)
+
+    def test_rescaled_value_in_range_is_returned(self):
+        # near e^300: rescaled on the way, back in the double range at the end
+        a, b, z = 3.0 - 2.0j, 3.0 + 2.0j, 1e6
+        assert steady._hyper_0f2_series(a, b, z)[2] > 0
+        value, ratio = hyper_0f2_diagnostic(a, b, z)
+        assert 0.0 < ratio <= 1.0  # conjugate parameters: positive terms
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.hyper([], [a, b], z))
+        assert value == pytest.approx(oracle, rel=1e-12)
