@@ -88,7 +88,6 @@ from .fock import (
     default_cutoff,
     density_from_pure,
     fock_state,
-    hermitize_and_renormalize,
     tail_mass,
 )
 from .gaussian import (

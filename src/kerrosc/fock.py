@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
-    DriftTooLarge,
     EigSolverFailure,
     IndexOutOfRange,
     ZeroNorm,
@@ -275,30 +274,6 @@ def _hermitize(raw: np.ndarray) -> np.ndarray:
     """(rho + rho^dag)/2, renormalized to unit trace (no drift guard)."""
     sym = 0.5 * (raw + raw.conj().T)
     return sym / np.trace(sym).real
-
-
-def hermitize_and_renormalize(rho: DensityMatrix | np.ndarray) -> DensityMatrix:
-    """Project back onto Hermitian unit-trace matrices, guarding the drift.
-
-    Accepts a DensityMatrix or a raw square matrix fresh from an integrator
-    step (whose drift may exceed what the DensityMatrix type admits).
-    Rejects inputs whose Hermiticity defect or trace deviation reaches 1e-6:
-    drift that large signals a broken integration rather than round-off.
-    """
-    el = (
-        rho.elements
-        if isinstance(rho, DensityMatrix)
-        else np.asarray(rho, dtype=complex)
-    )
-    if el.ndim != 2 or el.shape[0] != el.shape[1] or el.shape[0] < 2:
-        raise ValueError("expected a square matrix of dimension >= 2")
-    herm = float(np.max(np.abs(el - el.conj().T)))
-    tr_dev = abs(complex(np.trace(el)) - 1.0)
-    if herm >= 1e-6 or tr_dev >= 1e-6:
-        raise DriftTooLarge(
-            f"Hermiticity defect {herm:.3e} / trace deviation {tr_dev:.3e} exceed 1e-6"
-        )
-    return DensityMatrix(_hermitize(el))
 
 
 def tail_mass(rho: DensityMatrix | np.ndarray, margin: int) -> float:

@@ -159,10 +159,28 @@ def _scenario_cutoff(config: ScenarioConfig) -> FockCutoff:
     return default_cutoff(_estimated_mean_n(config))
 
 
+_MERGE_ULPS = 4  # a snapshot time this close to a sample time is that time
+
+
+def _snapshot_times(config: ScenarioConfig) -> list[float]:
+    """The snapshot times as sampled, in config order.
+
+    A snapshot time within a few ulps of a `linspace` sample time is moved
+    onto it: two samples a rounding step apart would leave the adaptive
+    stepper a step too short to take.
+    """
+    base = np.linspace(0.0, config.time.t_max, config.time.sample_count)
+    snaps = np.asarray(config.time.snapshot_times, dtype=float)
+    if snaps.size:
+        near = base[np.abs(base[:, None] - snaps).argmin(axis=0)]
+        close = np.abs(near - snaps) <= _MERGE_ULPS * np.spacing(np.abs(snaps))
+        snaps = np.where(close, near, snaps)
+    return [float(t) for t in snaps]
+
+
 def _union_grid(config: ScenarioConfig) -> TimeGrid:
     base = np.linspace(0.0, config.time.t_max, config.time.sample_count)
-    times = np.unique(np.concatenate([base, np.asarray(config.time.snapshot_times)]))
-    return TimeGrid(times)
+    return TimeGrid(np.unique(np.concatenate([base, _snapshot_times(config)])))
 
 
 def _timeseries_row(
@@ -236,7 +254,7 @@ def _consume_evolution(
     )
     wanted = set()
     if any(isinstance(s, QuasiGridOutput) and s.target == "snapshots" for s in specs):
-        wanted = set(config.time.snapshot_times)
+        wanted = set(_snapshot_times(config))
 
     def on_sample(t: float, state: DensityMatrix, diag: StepDiagnostics) -> None:
         if kept.timeseries is not None or kept.mean_a is not None:
@@ -313,8 +331,10 @@ def _write_grid_file(
     path: Path,
     header: list[str],
     grid: QuasiGrid,
+    values: np.ndarray,
     time_label: str,
 ) -> None:
+    """Write one state's values of `grid` with the grid's axes and s."""
     lines = list(header)
     lines.append(f"# s: {_fmt(grid.s)}")
     lines.append(
@@ -326,10 +346,48 @@ def _write_grid_file(
         f"{grid.im_axis.shape[0]}"
     )
     lines.append(f"# time: {time_label}")
-    row_fmt = " ".join([_FMT] * grid.values.shape[1])
-    for row in grid.values:
+    row_fmt = " ".join([_FMT] * values.shape[1])
+    for row in values:
         lines.append(row_fmt % tuple(row.tolist()))
     _write_text(path, lines)
+
+
+def _write_grids(
+    config: ScenarioConfig,
+    spec: QuasiGridOutput,
+    oi: int,
+    kept: _Kept | None,
+    cutoff: FockCutoff,
+    header: list[str],
+    emit,
+) -> None:
+    """Write the grid files of one quasi_grid output from one batched evaluation.
+
+    A snapshot output evaluates every snapshot state, a steady output the
+    stationary state and its leading eigenvectors, so the grid's tables are
+    built once per output.
+    """
+    if spec.target == "snapshots":
+        times = _snapshot_times(config)
+        states = [kept.snapshots[t] for t in times]
+        names = [(f"t{si}", _fmt(t)) for si, t in enumerate(times)]
+    else:
+        rho_ss = steady_density(config.params, cutoff)  # cached across outputs
+        states = [rho_ss]
+        names = [("steady", "steady")]
+        if spec.eigenvectors:
+            dec = spectral_decomposition(rho_ss)
+            for j in range(min(spec.eigenvectors, len(dec.eigenstates))):
+                states.append(density_from_pure(dec.eigenstates[j]))
+                names.append((f"steady_eig{j}", f"steady_eig{j}"))
+    re_axis = np.linspace(spec.re_min, spec.re_max, spec.points)
+    im_axis = np.linspace(spec.im_min, spec.im_max, spec.points)
+    grid = quasidistribution(states, spec.s, re_axis, im_axis)
+    frames = grid.values.reshape(len(states), *grid.values.shape[-2:])
+    for (suffix, label), values in zip(names, frames):
+        _write_grid_file(
+            emit(f"{config.name}_grid{oi}_{suffix}.grid"), header, grid, values, label
+        )
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
@@ -426,39 +484,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 kept.distance,
             )
         elif isinstance(spec, QuasiGridOutput):
-            re_axis = np.linspace(spec.re_min, spec.re_max, spec.points)
-            im_axis = np.linspace(spec.im_min, spec.im_max, spec.points)
-            if spec.target == "snapshots":
-                for si, t in enumerate(config.time.snapshot_times):
-                    state = kept.snapshots[t]
-                    g = quasidistribution(state, spec.s, re_axis, im_axis)
-                    _write_grid_file(
-                        emit(f"{config.name}_grid{oi}_t{si}.grid"),
-                        header,
-                        g,
-                        _fmt(t),
-                    )
-            else:
-                rho_ss = steady_density(params, cutoff)  # cached across outputs
-                g = quasidistribution(rho_ss, spec.s, re_axis, im_axis)
-                _write_grid_file(
-                    emit(f"{config.name}_grid{oi}_steady.grid"), header, g, "steady"
-                )
-                if spec.eigenvectors:
-                    dec = spectral_decomposition(rho_ss)
-                    for j in range(min(spec.eigenvectors, len(dec.eigenstates))):
-                        gj = quasidistribution(
-                            density_from_pure(dec.eigenstates[j]),
-                            spec.s,
-                            re_axis,
-                            im_axis,
-                        )
-                        _write_grid_file(
-                            emit(f"{config.name}_grid{oi}_steady_eig{j}.grid"),
-                            header,
-                            gj,
-                            f"steady_eig{j}",
-                        )
+            _write_grids(config, spec, oi, kept, cutoff, header, emit)
 
     summary: dict = {"cutoff": cutoff.n_cut, "dim": cutoff.dim}
     steps = 0

@@ -105,6 +105,34 @@ def good_config() -> ScenarioConfig:
     return config
 
 
+# 0.7 is one rounding step off the linspace point 0.7000000000000001
+NEAR_SAMPLE_YAML = """
+name: near
+initial_state:
+  kind: coherent
+  alpha: [2.0, 0.0]
+params:
+  pump: [5.0, 0.0]
+  kerr: 0.2
+  loss: 1.0
+cutoff: 30
+time:
+  t_max: 1.5
+  snapshot_times: [0.7]
+  sample_count: 31
+outputs:
+  - kind: classical_path
+  - kind: timeseries
+  - kind: quasi_grid
+    s: 0.0
+    re_min: -2.0
+    re_max: 2.0
+    im_min: -2.0
+    im_max: 2.0
+    points: 5
+"""
+
+
 class TestValidateConfig:
     def test_happy_path(self):
         config = good_config()
@@ -414,7 +442,7 @@ class TestRunScenario:
             values=values,
         )
         path = tmp_path / "rows.grid"
-        _write_grid_file(path, ["# header"], grid, "0")
+        _write_grid_file(path, ["# header"], grid, grid.values, "0")
         body = path.read_text().splitlines()[-3:]
         assert body == [" ".join("%.17g" % (v,) for v in row) for row in values]
 
@@ -592,6 +620,19 @@ class TestCli:
         assert stdout.count("wrote ") == 6
         assert "mean_n:" in stdout
         assert (out_dir / "smoke_timeseries.csv").exists()
+
+    def test_snapshot_an_ulp_off_a_sample_time_runs(self, tmp_path, capsys):
+        # the snapshot merges onto the sample time instead of leaving two
+        # samples 1.1e-16 apart, which the semiclassical paths cannot step
+        path = tmp_path / "near.yaml"
+        path.write_text(NEAR_SAMPLE_YAML)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out.count("wrote ") == 3
+        classical = (out_dir / "near_classical.csv").read_text().splitlines()
+        assert len([line for line in classical if not line.startswith("#")]) == 1 + 31
+        grid = (out_dir / "near_grid2_t0.grid").read_text()
+        assert "# time: 0.70000000000000007" in grid
 
     def test_run_numerical_failure_exits_3(self, tmp_path, capsys):
         # a strong pump against a 10-level cutoff overflows the truncation

@@ -13,7 +13,6 @@ from conftest import random_density
 from kerrosc.errors import (
     CutoffTooSmall,
     DimensionMismatch,
-    DriftTooLarge,
     IndexOutOfRange,
     ZeroNorm,
 )
@@ -29,7 +28,6 @@ from kerrosc.fock import (
     default_cutoff,
     density_from_pure,
     fock_state,
-    hermitize_and_renormalize,
     tail_mass,
 )
 
@@ -221,28 +219,6 @@ class TestDensityHelpers:
         rho = density_from_pure(coherent_state(1.0, FockCutoff(20)))
         el = rho.elements
         np.testing.assert_allclose(el @ el, el, atol=1e-12)
-
-    def test_hermitize_leaves_valid_state_unchanged(self):
-        rho = density_from_pure(coherent_state(1.0, FockCutoff(15)))
-        out = hermitize_and_renormalize(rho).elements
-        assert float(np.max(np.abs(out - rho.elements))) < 1e-15
-
-    def test_hermitize_and_renormalize_repairs_drift(self):
-        rho = density_from_pure(fock_state(1, FockCutoff(4)))
-        el = np.array(rho.elements)
-        el[0, 1] += 1e-8  # anti-Hermitian and trace drift within budget
-        el[1, 1] += 1e-8
-        out = hermitize_and_renormalize(el).elements
-        assert abs(complex(np.trace(out)) - 1.0) < 1e-15
-        assert float(np.max(np.abs(out - out.conj().T))) <= 1e-16
-
-    def test_hermitize_rejects_large_drift(self):
-        el = np.diag([0.5, 0.5]).astype(complex)
-        el[0, 1] = 1e-4  # Hermiticity defect far beyond round-off
-        with pytest.raises(DriftTooLarge):
-            hermitize_and_renormalize(el)
-        with pytest.raises(DriftTooLarge):
-            hermitize_and_renormalize(np.diag([0.6, 0.5]).astype(complex))
 
     def test_tail_mass(self):
         rho = density_from_pure(fock_state(3, FockCutoff(4)))

@@ -287,7 +287,82 @@ class TestQuasidistributionGrid:
             quasidistribution(rho, -1.2, small_axis, small_axis)
 
 
+def batch_states(rng, dim: int) -> list[DensityMatrix]:
+    """Mixed and pure states of one dimension, for the batched evaluations."""
+    cutoff = FockCutoff(dim - 1)
+    return [
+        random_density(rng, dim=dim),
+        density_from_pure(coherent_state(1.5 - 0.7j, cutoff)),
+        random_density(rng, dim=dim, rank=3),
+        density_from_pure(fock_state(2, cutoff)),
+    ]
+
+
+class TestBatchedGrid:
+    # the symmetric bundled grid at the bundled dimension, and an asymmetric
+    # grid (few repeated |beta|^2) at dim 101
+    GRIDS = {
+        "121x121_dim46": (46, np.linspace(-4.5, 4.5, 121), np.linspace(-4.5, 4.5, 121)),
+        "121x97_dim101": (101, np.linspace(-4.0, 5.0, 121), np.linspace(-3.5, 2.5, 97)),
+    }
+
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 0.5])
+    def test_batch_equals_one_at_a_time(self, rng, grid_name, s):
+        dim, re, im = self.GRIDS[grid_name]
+        states = batch_states(rng, dim)
+        batch = quasidistribution(states, s, re, im)
+        assert batch.values.shape == (len(states), im.shape[0], re.shape[0])
+        assert batch.values.size == len(states) * re.shape[0] * im.shape[0]
+        for j, state in enumerate(states):
+            single = quasidistribution(state, s, re, im).values
+            if s > -1.0:
+                np.testing.assert_array_equal(batch.values[j], single)
+            else:
+                tol = 1e-15 * float(np.max(np.abs(single)))
+                np.testing.assert_allclose(batch.values[j], single, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0])
+    def test_batch_of_one_is_a_plain_grid(self, rng, s):
+        rho = random_density(rng, dim=12)
+        re = np.linspace(-2.0, 2.0, 9)
+        im = np.linspace(-1.5, 2.5, 7)
+        single = quasidistribution(rho, s, re, im)
+        batch = quasidistribution([rho], s, re, im)
+        assert isinstance(batch, QuasiGrid)
+        assert batch.values.shape == (7, 9)
+        np.testing.assert_array_equal(batch.values, single.values)
+
+    def test_more_states_than_points(self, rng):
+        # one point per block, where a one-row product would round differently
+        states = [random_density(rng, dim=5) for _ in range(11)]
+        axis = np.linspace(-1.0, 1.0, 3)
+        batch = quasidistribution(states, 0.0, axis, axis)
+        for j, state in enumerate(states):
+            np.testing.assert_array_equal(
+                batch.values[j], quasidistribution(state, 0.0, axis, axis).values
+            )
+
+    def test_rejects_empty_and_mixed_dimensions(self, rng):
+        with pytest.raises(ValueError):
+            quasidistribution([], 0.0, small_axis, small_axis)
+        mixed = [random_density(rng, dim=4), random_density(rng, dim=5)]
+        with pytest.raises(ValueError):
+            quasidistribution(mixed, 0.0, small_axis, small_axis)
+
+
 class TestQuasiGridValidation:
+    def test_batch_values(self):
+        grid = QuasiGrid(
+            s=0.0, re_axis=small_axis, im_axis=small_axis, values=np.zeros((3, 5, 5))
+        )
+        assert grid.values.shape == (3, 5, 5)
+        with pytest.raises(ValueError):
+            QuasiGrid(
+                s=0.0, re_axis=small_axis, im_axis=small_axis,
+                values=np.zeros((2, 3, 5, 5)),
+            )
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             QuasiGrid(s=0.0, re_axis=small_axis, im_axis=small_axis, values=np.zeros((4, 5)))

@@ -129,7 +129,7 @@ def files_from_trajectory(config: ScenarioConfig, out) -> dict[str, bytes]:
     for si, t in enumerate(config.time.snapshot_times):
         state = traj.states[times.index(t)]
         g = quasidistribution(state, spec.s, re_axis, im_axis)
-        _write_grid_file(out / f"grid_t{si}.grid", header, g, _fmt(t))
+        _write_grid_file(out / f"grid_t{si}.grid", header, g, g.values, _fmt(t))
 
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
