@@ -3,13 +3,16 @@
 A scenario file is a single YAML mapping with the fixed field order
 name, initial_state, params, cutoff, time, outputs.  Complex numbers are
 written as two-element [re, im] lists (a bare number is accepted on input
-and canonicalized).  `validate_config` never raises on bad input; it returns
-the list of "field.path: problem" messages instead.
+and canonicalized).  Floats follow YAML 1.2, so an exponent needs no dot
+(1e-3, 2E+5).  `validate_config` never raises on bad input; it returns
+the list of "field.path: problem" messages instead, one per bad field: a
+bad value is replaced by a stand-in that passes every later check.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -115,14 +118,25 @@ class ScenarioConfig:
     outputs: tuple[OutputSpec, ...]
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader with YAML 1.2 floats: PyYAML's 1.1 rule reads 1e-3 as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _real(value: Any, path: str, errors: list[str]) -> float:
+def _real(value: Any, path: str, errors: list[str], fallback: float) -> float:
     if not _is_number(value) or not math.isfinite(float(value)):
         errors.append(f"{path}: must be a finite number")
-        return 0.0
+        return fallback
     return float(value)
 
 
@@ -140,10 +154,10 @@ def _complex_value(value: Any, path: str, errors: list[str]) -> complex:
     return 0.0j
 
 
-def _integer(value: Any, path: str, errors: list[str], minimum: int) -> int:
+def _integer(value: Any, path: str, errors: list[str], minimum: int, fallback: Any) -> Any:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         errors.append(f"{path}: must be an integer >= {minimum}")
-        return minimum
+        return fallback
     return value
 
 
@@ -174,7 +188,7 @@ def _parse_initial_state(raw: Any, errors: list[str]) -> InitialState:
         if "n" not in node:
             errors.append("initial_state.n: required for kind fock")
             return fallback
-        return FockInit(n=_integer(node["n"], "initial_state.n", errors, 0))
+        return FockInit(n=_integer(node["n"], "initial_state.n", errors, 0, 0))
     if kind == "superposition":
         comps = node.get("components")
         if not isinstance(comps, list) or not comps:
@@ -210,12 +224,13 @@ def _parse_initial_state(raw: Any, errors: list[str]) -> InitialState:
 
 
 def _parse_params(raw: Any, errors: list[str]) -> OscillatorParams:
+    # the stand-ins kerr = loss = 1 pass the steady-state checks
     node = _mapping(raw, "params", errors, ("pump", "kerr", "loss"))
     if node is None:
-        return OscillatorParams(pump=0.0j, kerr=0.0, loss=0.0)
+        return OscillatorParams(pump=0.0j, kerr=1.0, loss=1.0)
     pump = _complex_value(node.get("pump", 0.0), "params.pump", errors)
-    kerr = _real(node.get("kerr", 0.0), "params.kerr", errors)
-    loss = _real(node.get("loss", 0.0), "params.loss", errors)
+    kerr = _real(node.get("kerr", 1.0), "params.kerr", errors, 1.0)
+    loss = _real(node.get("loss", 1.0), "params.loss", errors, 1.0)
     if "pump" not in node:
         errors.append("params.pump: required")
     if "kerr" not in node:
@@ -224,7 +239,7 @@ def _parse_params(raw: Any, errors: list[str]) -> OscillatorParams:
         errors.append("params.loss: required")
     if loss < 0:
         errors.append("params.loss: must be >= 0")
-        loss = 0.0
+        loss = 1.0
     return OscillatorParams(pump=pump, kerr=kerr, loss=loss)
 
 
@@ -232,26 +247,29 @@ def _parse_time(raw: Any, errors: list[str]) -> TimeSpec:
     node = _mapping(raw, "time", errors, ("t_max", "snapshot_times", "sample_count"))
     if node is None:
         return TimeSpec(t_max=1.0, snapshot_times=(), sample_count=2)
+    # the stand-in t_max = inf keeps every snapshot time in range
+    t_max = math.inf
     if "t_max" not in node:
         errors.append("time.t_max: required")
-    t_max = _real(node.get("t_max", 1.0), "time.t_max", errors)
-    if t_max <= 0:
-        errors.append("time.t_max: must be > 0")
-        t_max = 1.0
+    else:
+        t_max = _real(node["t_max"], "time.t_max", errors, math.inf)
+        if t_max <= 0:
+            errors.append("time.t_max: must be > 0")
+            t_max = math.inf
     snaps_raw = node.get("snapshot_times", [])
     snaps: list[float] = []
     if not isinstance(snaps_raw, list):
         errors.append("time.snapshot_times: must be a list of times")
     else:
         for i, t in enumerate(snaps_raw):
-            tv = _real(t, f"time.snapshot_times[{i}]", errors)
+            tv = _real(t, f"time.snapshot_times[{i}]", errors, 0.0)
             if not 0.0 <= tv <= t_max:
                 errors.append(
                     f"time.snapshot_times[{i}]: {tv} outside [0, t_max = {t_max}]"
                 )
             else:
                 snaps.append(tv)
-    count = _integer(node.get("sample_count", 2), "time.sample_count", errors, 2)
+    count = _integer(node.get("sample_count", 2), "time.sample_count", errors, 2, 2)
     if "sample_count" not in node:
         errors.append("time.sample_count: required")
     return TimeSpec(
@@ -305,23 +323,24 @@ def _parse_output(raw: Any, path: str, errors: list[str]) -> OutputSpec | None:
         return DistanceToSteadyOutput()
     if "s" not in raw:
         errors.append(f"{path}.s: required for quasi_grid")
-    s = _real(raw.get("s", 0.0), f"{path}.s", errors)
+    s = _real(raw.get("s", 0.0), f"{path}.s", errors, 0.0)
     if not -1.0 <= s <= _S_MAX:
         errors.append(f"{path}.s: must lie in [-1, 1 - 1e-9]")
-    re_min = _real(raw.get("re_min", -6.0), f"{path}.re_min", errors)
-    re_max = _real(raw.get("re_max", 6.0), f"{path}.re_max", errors)
-    im_min = _real(raw.get("im_min", -6.0), f"{path}.im_min", errors)
-    im_max = _real(raw.get("im_max", 6.0), f"{path}.im_max", errors)
+    # infinite stand-ins keep the range checks quiet
+    re_min = _real(raw.get("re_min", -6.0), f"{path}.re_min", errors, -math.inf)
+    re_max = _real(raw.get("re_max", 6.0), f"{path}.re_max", errors, math.inf)
+    im_min = _real(raw.get("im_min", -6.0), f"{path}.im_min", errors, -math.inf)
+    im_max = _real(raw.get("im_max", 6.0), f"{path}.im_max", errors, math.inf)
     if re_min >= re_max:
         errors.append(f"{path}.re_min: must be < re_max")
     if im_min >= im_max:
         errors.append(f"{path}.im_min: must be < im_max")
-    points = _integer(raw.get("points", 121), f"{path}.points", errors, 2)
+    points = _integer(raw.get("points", 121), f"{path}.points", errors, 2, 2)
     target = raw.get("target", "snapshots")
     if target not in ("snapshots", "steady"):
         errors.append(f"{path}.target: must be snapshots or steady")
         target = "snapshots"
-    eig = _integer(raw.get("eigenvectors", 0), f"{path}.eigenvectors", errors, 0)
+    eig = _integer(raw.get("eigenvectors", 0), f"{path}.eigenvectors", errors, 0, 0)
     if eig and target != "steady":
         errors.append(
             f"{path}.eigenvectors: only meaningful with target steady"
@@ -342,7 +361,7 @@ def validate_config(text: str) -> ScenarioConfig | list[str]:
     """Parse and validate scenario text; returns the config or the error list."""
     errors: list[str] = []
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         return [f"<yaml>: {exc}"]
     top = _mapping(
@@ -362,7 +381,8 @@ def validate_config(text: str) -> ScenarioConfig | list[str]:
     params = _parse_params(top.get("params", {}), errors)
     cutoff = top.get("cutoff")
     if cutoff is not None:
-        cutoff = _integer(cutoff, "cutoff", errors, 1)
+        # a bad cutoff stands in as None, which no initial state exceeds
+        cutoff = _integer(cutoff, "cutoff", errors, 1, None)
     time_spec = _parse_time(top.get("time", {}), errors)
     outputs_raw = top.get("outputs", [])
     outputs: list[OutputSpec] = []

@@ -34,6 +34,19 @@ step short: a sample time t + s inside an accepted step [t, t + h] is read off
 the same polynomial as sum_j c_j s^j v_j, the step of size s from y, so the
 step sequence and the final state do not depend on the output grid.
 
+The integration covers only the leading d x d block of rho, the levels the
+state populates, not the declared cutoff: the empty top levels would set the
+stable step through their Kerr frequencies, about G n_cut^2, and the
+tolerance would bind on their integration noise.  d is chosen from the
+populations at t = 0 and again after every accepted step (`_block_size`):
+it keeps `_HEADROOM` levels above the last level with population at least
+1e-14, grows by 8 levels when one of the block's top `_TAIL_MARGIN`
+populations exceeds 1e-13, and shrinks only by 4 levels or more.  A block
+of a positive state is positive.  Every output is zero-padded back to the
+declared cutoff before the guards, so the tail mass at the cutoff reads 0
+while d <= dim - 5.  At loss 0 there is no stationary support to follow
+and the block is the whole matrix.
+
 Without pump the master equation has an exact solution, each diagonal of rho
 evolving on its own; `unpumped_evolve` evaluates it at the sample times, in
 blocks of `_MAP_BLOCK` times, with no integration.
@@ -140,14 +153,20 @@ _KRYLOV_W_EXP[2, 1:] = _KRYLOV_POWERS
 
 # levels below the truncation edge whose population the tail guard watches
 _TAIL_MARGIN = 5
+# the rule of `_block_size` for the block `_linear_krylov` integrates
+_FILLED = 1e-14
+_HEADROOM = _TAIL_MARGIN + 6
+_GROW_AT = 1e-13
+_GROW_BY = 8
+_SHRINK_BY = 4
 # sample times per `_unpumped_map` call, so an exact run holds at most this
 # many raw states whatever its sample count
 _MAP_BLOCK = 64
 # a sample source for `_guarded_stream`: called with the projection, it
-# yields (sample, (steps, rejected, rhs_calls)) in time order
+# yields (sample, (steps, rejected, rhs_calls, block, resizes)) in time order
 _Samples = Callable[
     [Callable[[np.ndarray], np.ndarray]],
-    Iterator[tuple[np.ndarray, tuple[int, int, int]]],
+    Iterator[tuple[np.ndarray, tuple[int, int, int, int, int]]],
 ]
 # default master-equation tolerances of `evolve`, echoed in every artifact header
 RTOL = 1e-8
@@ -185,13 +204,18 @@ class StepDiagnostics:
     trace_error : accumulated |trace change| before renormalization over the
                   segment ending at this output time: the accepted steps that
                   end in it, plus the output sample itself
-    tail_mass   : population in the last diagonal entries at this time
+    tail_mass   : population in the last `_TAIL_MARGIN` diagonal entries of
+                  the declared cutoff at this time; exactly 0 while the
+                  integrated block is at most dim - 5
     steps       : accepted steps completed at or before this time since t = 0
     rejected    : rejected trial steps since t = 0
     rhs_calls   : right-hand-side evaluations since t = 0, including those
-                  of a step still in progress at this time
+                  of a step still in progress at this time: 1 + 7 per
+                  accepted step + 1 per resize
+    block       : the dimension integrated to reach this output
+    resizes     : block resizes since t = 0
 
-    The three counts are 0 for the exact map of `unpumped_evolve`.
+    Every count is 0 at t = 0 and for the exact map of `unpumped_evolve`.
     """
 
     trace_error: float
@@ -199,6 +223,8 @@ class StepDiagnostics:
     steps: int
     rejected: int
     rhs_calls: int
+    block: int
+    resizes: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,42 +353,93 @@ def _adaptive_rk(
         h *= _step_factor(err)
 
 
+def _block_size(pop: np.ndarray, dim: int) -> int:
+    """The block to integrate next, from the populations `pop` of the current one.
+
+    Grows by `_GROW_BY` levels (at most to dim) when one of the top
+    `_TAIL_MARGIN` populations exceeds `_GROW_AT`.  Otherwise it is the
+    smallest block that keeps `_HEADROOM` levels above the last level with
+    population at least `_FILLED`, taken only when that drops at least
+    `_SHRINK_BY` levels.  Populations, not coherences: those of empty levels
+    stay clean to about 1e-18, while coherences near the edge carry about
+    3e-12 of integration noise whatever the block.
+    """
+    d = pop.shape[0]
+    if np.any(pop[-_TAIL_MARGIN:] > _GROW_AT):
+        return min(d + _GROW_BY, dim)
+    fit = min(int(np.flatnonzero(pop >= _FILLED)[-1]) + 1 + _HEADROOM, dim)
+    return fit if fit <= d - _SHRINK_BY else d
+
+
+def _leading(x: np.ndarray, d: int) -> np.ndarray:
+    """The leading d x d block of x, zero-padded where x is smaller."""
+    out = np.zeros((d, d), dtype=complex)
+    k = min(d, x.shape[0])
+    out[:k, :k] = x[:k, :k]
+    return out
+
+
 def _linear_krylov(
-    f: Callable[..., np.ndarray],
+    rhs_at: Callable[[int], Callable[..., np.ndarray]],
     y: np.ndarray,
     times: np.ndarray,
     rtol: float,
     atol: float,
     project: Callable[[np.ndarray], np.ndarray],
-) -> Iterator[tuple[np.ndarray, tuple[int, int, int]]]:
-    """The degree-7 Krylov step for a linear autonomous f, sampled at times[1:].
+    blocked: bool = False,
+) -> Iterator[tuple[np.ndarray, tuple[int, int, int, int, int]]]:
+    """The degree-7 Krylov step for a linear autonomous y' = L y, sampled at times[1:].
 
-    `f(x, out=row)` writes L x into `row`.  Integrates from times[0] to
+    `rhs_at(d)` returns L at size d as `f(x, out=row)`, which writes L x
+    into `row`; it is called once per size.  Integrates from times[0] to
     times[-1] with the step polynomial `_KRYLOV_C`, the error weights
     `_KRYLOV_E` and the controller of `_adaptive_rk`, cutting only the last
-    step to end at times[-1].  Yields (sample, (steps, rejected, rhs_calls))
-    in time order: the accepted steps completed at or before the sample, and
-    the rejected trial steps and RHS calls made so far.  `project` maps
-    every accepted state and every sample read off a step polynomial (for
-    evolve: hermitize and renormalize); a sample at the end of a step is the
+    step to end at times[-1].  Yields (sample, (steps, rejected, rhs_calls,
+    block, resizes)) in time order: the accepted steps completed at or
+    before the sample, the rejected trial steps and RHS calls made so far,
+    the size integrated and the resizes so far.  `project` maps every
+    accepted state and every sample read off a step polynomial (for evolve:
+    hermitize and renormalize); a sample at the end of a step is the
     accepted state itself.
+
+    With `blocked`, y is a dim x dim density matrix and only its leading
+    d x d block is integrated, d from `_block_size` at t = 0 and again after
+    every accepted step but the last.  A principal block of a positive
+    state is positive, and growing pads with zeros.  A resize restarts the
+    chain at one RHS call; samples are zero-padded back to dim.  Resizes
+    look only at accepted states, so the steps do not depend on the grid.
     """
     n = times.shape[0]
     if n < 2:
         return
     t, t_end = float(times[0]), float(times[-1])
     h_min = 1e-14 * max(1.0, abs(t_end))
+    full = y.shape
+    rhs: dict[int, Callable[..., np.ndarray]] = {}
+
+    def restart(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]:
+        # chain[j] = L^j x, complex; its real view makes every weighted sum
+        # over the chain one real product with (9, 2N) rows
+        d = x.shape[0]
+        if d not in rhs:
+            rhs[d] = rhs_at(d)
+        f = rhs[d]
+        chain = np.empty((9,) + x.shape, dtype=complex)
+        chain[0] = x
+        f(chain[0], out=chain[1])
+        return chain, chain.view(float).reshape(9, -1), f
+
+    def padded(x: np.ndarray) -> np.ndarray:
+        return x if x.shape == full else _leading(x, full[0])
+
+    if blocked:
+        y = _leading(y, _block_size(y.diagonal().real, full[0]))
+    chain, flat, f = restart(y)
     shape = y.shape
-    # chain[j] = L^j y, complex; its real view makes every weighted sum over
-    # the chain one real product with (9, 2N) rows
-    chain = np.empty((9,) + shape, dtype=complex)
-    flat = chain.view(float).reshape(9, -1)
-    chain[0] = y
-    f(chain[0], out=chain[1])
     calls = 1
     h = _initial_step(y, chain[1], t_end - t, rtol, atol)
 
-    steps = rejected = 0
+    steps = rejected = resizes = 0
     idx = 1
     stale = True
     while t < t_end:
@@ -386,18 +463,26 @@ def _linear_krylov(
             t_new = t_end if last else t + h
             while idx < n and times[idx] < t_new:
                 s = float(times[idx]) - t
-                sample = (_KRYLOV_C * s**_KRYLOV_POWERS) @ flat[:8]
-                yield project(sample.view(complex).reshape(shape)), (steps, rejected, calls)
+                sample = ((_KRYLOV_C * s**_KRYLOV_POWERS) @ flat[:8]).view(complex)
+                counts = (steps, rejected, calls, shape[0], resizes)
+                yield padded(project(sample.reshape(shape))), counts
                 idx += 1
             y = project(y_new)
             steps += 1
             t = t_new
-            chain[0] = y
-            chain[1] = fsal
             stale = True
             if idx < n and times[idx] == t:
-                yield y, (steps, rejected, calls)
+                yield padded(y), (steps, rejected, calls, shape[0], resizes)
                 idx += 1
+            d = _block_size(y.diagonal().real, full[0]) if blocked and t < t_end else shape[0]
+            if d == shape[0]:
+                chain[0] = y
+                chain[1] = fsal
+            else:
+                chain, flat, f = restart(_leading(y, d))
+                shape = (d, d)
+                calls += 1
+                resizes += 1
         else:
             rejected += 1
         h *= _step_factor(err)
@@ -482,8 +567,8 @@ def _guarded_stream(
     sees each output in time order, and the last `StepDiagnostics` is
     returned.  Nothing is kept here, so a caller that keeps no states runs
     in memory independent of the sample count.  `samples(project)` yields
-    (sample, (steps, rejected, rhs_calls)) in time order, the counts of
-    `StepDiagnostics`.  `project` hermitizes and renormalizes a raw state
+    (sample, (steps, rejected, rhs_calls, block, resizes)) in time order,
+    the counts of `StepDiagnostics`.  `project` hermitizes and renormalizes a raw state
     and adds its |trace - 1| to the drift of the current output segment;
     every state a source produces (for the integrator, each accepted step as
     well as each sample) goes through it.  At each output, in time order:
@@ -503,7 +588,7 @@ def _guarded_stream(
         return (0.5 / tr) * (y + y.conj().T)
 
     times = grid.times
-    diag = StepDiagnostics(0.0, tail_mass(rho0, margin), 0, 0, 0)
+    diag = StepDiagnostics(0.0, tail_mass(rho0, margin), 0, 0, 0, 0, 0)
     on_sample(float(times[0]), rho0, diag)
     for idx, (y, counts) in enumerate(samples(project), start=1):
         ta, tb = float(times[idx - 1]), float(times[idx])
@@ -546,12 +631,19 @@ def _collect(rho0: DensityMatrix, grid: TimeGrid, samples: _Samples) -> Trajecto
 def _krylov_samples(
     rho0: DensityMatrix, params: OscillatorParams, grid: TimeGrid, rtol: float, atol: float
 ) -> _Samples:
-    """The sample source of `evolve`: one `_linear_krylov` integration."""
+    """The sample source of `evolve`: one `_linear_krylov` integration.
+
+    The block follows the populated levels except at loss 0, where there is
+    no stationary support to follow and the step, not contractive on the
+    imaginary axis, would take larger steps on a small block.
+    """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be > 0")
-    rhs = liouvillian_generator(params, rho0.dim)
     y0 = np.array(rho0.elements, dtype=complex)
-    return lambda project: _linear_krylov(rhs, y0, grid.times, rtol, atol, project)
+    return lambda project: _linear_krylov(
+        lambda d: liouvillian_generator(params, d), y0, grid.times, rtol, atol, project,
+        blocked=params.loss != 0,
+    )
 
 
 def evolve(
@@ -571,10 +663,13 @@ def evolve(
     samples.  Every accepted step and every sample is hermitized and
     renormalized, and each output passes the drift, tail-mass and positivity
     guards of `_guarded_stream` (`DriftTooLarge`, `CutoffExceeded`,
-    `PositivityLost`).  `StepDiagnostics` counts the accepted steps completed
-    at or before the output time, and the rejected steps and RHS calls
-    (1 + 7 per accepted step) made so far.  Every state is kept, so memory
-    grows with the sample count; `stream_evolution` keeps none.
+    `PositivityLost`).  Only the leading block of populated levels is
+    integrated (at loss 0 the whole matrix), and each output is zero-padded
+    back to the declared cutoff.  `StepDiagnostics` counts the accepted steps
+    completed at or before the output time, the rejected steps, the RHS
+    calls (1 + 7 per accepted step + 1 per resize) and the block resizes
+    made so far, and gives the block integrated.  Every state is kept, so
+    memory grows with the sample count; `stream_evolution` keeps none.
     """
     return _collect(rho0, grid, _krylov_samples(rho0, params, grid, rtol, atol))
 
@@ -659,7 +754,7 @@ def _unpumped_samples(rho0: DensityMatrix, params: OscillatorParams, grid: TimeG
     def samples(project):
         for first in range(0, times.shape[0], _MAP_BLOCK):
             for y in _unpumped_map(rho0.elements, params, times[first : first + _MAP_BLOCK]):
-                yield project(y), (0, 0, 0)
+                yield project(y), (0, 0, 0, 0, 0)
 
     return samples
 

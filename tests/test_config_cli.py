@@ -245,6 +245,40 @@ class TestValidateConfig:
             result = validate_config(text)
             assert isinstance(result, list) and result
 
+    def test_exponent_floats_without_a_dot(self):
+        # YAML 1.2 floats: PyYAML's 1.1 rule would read 2e-1 as a string
+        from importlib.resources import files
+
+        text = (files("kerrosc") / "scenarios" / "fig10_coherent.yaml").read_text(
+            encoding="ascii"
+        )
+        spelled = text.replace("kerr: 0.2", "kerr: 2e-1").replace("t_max: 20.0", "t_max: 2E+1")
+        assert spelled != text
+        config = validate_config(spelled)
+        assert isinstance(config, ScenarioConfig), config
+        assert canonical_text(config) == canonical_text(validate_config(text))
+        assert isinstance(config.params.kerr, float) and config.time.t_max == 20.0
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("kerr: 0.2", "kerr: fast", "params.kerr: must be a finite number"),
+            ("  kerr: 0.2\n", "", "params.kerr: required"),
+            ("loss: 1.0", "loss: -1.0", "params.loss: must be >= 0"),
+            ("t_max: 1.0", "t_max: soon", "time.t_max: must be a finite number"),
+            ("t_max: 1.0", "t_max: -2.0", "time.t_max: must be > 0"),
+            ("re_min: -2.0", "re_min: left", "outputs[2].re_min: must be a finite number"),
+            ("cutoff: 30", "cutoff: 0", "cutoff: must be an integer >= 1"),
+        ],
+    )
+    def test_one_message_per_bad_field(self, old, new, message):
+        # a bad value stands in as one that passes every later check, so
+        # the steady outputs, snapshot times and grid ranges add nothing
+        text = GOOD_YAML.replace(old, new, 1)
+        if old == "cutoff: 30":
+            text = text.replace("  kind: coherent\n  alpha: [1.0, -2.0]", "  kind: fock\n  n: 3")
+        assert validate_config(text) == [message]
+
 
 class TestCanonicalForm:
     def test_field_order(self):
@@ -659,6 +693,28 @@ class TestCli:
         ))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "cutoff: 51" in capsys.readouterr().out
+
+    def test_bundled_fig8_at_cutoff_90_matches_the_bundled_run(self, tmp_path):
+        # the integrated block follows the populated levels, so doubling the
+        # declared cutoff changes neither the time series nor the step count
+        from importlib.resources import files
+
+        text = (files("kerrosc") / "scenarios" / "fig8_coherent.yaml").read_text(
+            encoding="utf-8"
+        )
+        raised = text.replace("cutoff: 45", "cutoff: 90")
+        assert raised != text
+        tables, steps = [], []
+        for name, scenario in (("bundled", text), ("raised", raised)):
+            report = run_scenario(validate_config(scenario), tmp_path / name)
+            lines = (tmp_path / name / "fig8_coherent_timeseries.csv").read_text().splitlines()
+            rows = [line for line in lines if not line.startswith("#")][1:]
+            tables.append(np.array([[float(c) for c in row.split(",")] for row in rows]))
+            steps.append(report.steps)
+        bundled, raised_table = tables
+        # t and the measures; trace_error, tail_mass and steps are diagnostics
+        assert float(np.max(np.abs(raised_table[:, :9] - bundled[:, :9]))) <= 1e-8
+        assert abs(steps[1] - steps[0]) <= 0.1 * steps[0]
 
     def test_run_positivity_loss_exits_3_without_traceback(self, tmp_path):
         # lossless and pumped from |alpha=2> at n_cut 45: the eigenvalue

@@ -6,7 +6,9 @@ pump-free closed form, and the linearized noise ODE against its algebraic
 fixed point.  The degree-7 Krylov step is checked for its order, stability
 radius and error weights, against its polynomial in dense powers of L and
 against exp(Lambda t) at its samples, for a step sequence that does not depend
-on the output grid, and for its RHS and rejection counts.  Starts that broke
+on the output grid, and for its RHS and rejection counts.  The integrated
+block is checked against runs at a larger cutoff and at the declared
+cutoff, and stays the whole matrix at loss 0.  Starts that broke
 the eigenvalue floor under the RMS error norm, at the bundled cutoff and
 above, are regression tests.  The exact unpumped map is checked against DP5
 at tight tolerances, the Kerr phase map and the damping distributions, also
@@ -651,7 +653,7 @@ class TestKrylovDP5:
         h = _initial_step(y0, lmat @ y0, 1.0, rtol, atol)
         times = np.array([0.0, h / 3, h])
         out = list(
-            _linear_krylov(_linear(lambda y: lmat @ y), y0, times, rtol, atol, _identity)
+            _linear_krylov(lambda n: _linear(lambda y: lmat @ y), y0, times, rtol, atol, _identity)
         )
         assert [counts[0] for _, counts in out] == [0, 1]
         for (got, _), t in zip(out, times[1:]):
@@ -667,13 +669,13 @@ class TestKrylovDP5:
         rtol, atol = 1e-9, 1e-12
         times = np.linspace(0.0, 2.5, 101)
         f = _linear(lambda y: lam * y)
-        out = list(_linear_krylov(f, y0, times, rtol, atol, _identity))
+        out = list(_linear_krylov(lambda n: f, y0, times, rtol, atol, _identity))
         assert len(out) == 100
         for (got, _), t in zip(out, times[1:]):
             np.testing.assert_allclose(got, y0 * np.exp(lam * t), rtol=20 * rtol, atol=atol)
         # samples do not cut steps: the same integration sampled only at
         # the end takes the same steps and ends in the same state
-        (end, end_counts), = _linear_krylov(f, y0, times[[0, -1]], rtol, atol, _identity)
+        (end, end_counts), = _linear_krylov(lambda n: f, y0, times[[0, -1]], rtol, atol, _identity)
         assert out[-1][1] == end_counts
         assert np.array_equal(out[-1][0], end)
         counts = [c[0] for _, c in out]
@@ -710,34 +712,109 @@ class TestKrylovDP5:
         monkeypatch.setattr(dynamics, "liouvillian_generator", counting_generator)
         monkeypatch.setattr(dynamics, "_error_norm", recording_norm)
         params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
-        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
-        traj = evolve(rho0, params, TimeGrid.uniform(2.0, 51))
+        # the vacuum fills: its block grows from 12 levels, and a resize
+        # restarts the chain at one RHS call
+        rho0 = density_from_pure(fock_state(0, FockCutoff(45)))
+        traj = evolve(rho0, params, TimeGrid.uniform(5.0, 51))
         steps = traj.diagnostics[-1].steps
+        resizes = traj.diagnostics[-1].resizes
         rejected = sum(err > 1.0 for err in norms)
-        assert rejected > 0
+        assert rejected > 0 and resizes > 0
         assert len(norms) - steps == rejected
-        assert calls == 1 + 7 * steps
+        assert calls == 1 + 7 * steps + resizes
         assert traj.diagnostics[-1].rejected == rejected
         assert traj.diagnostics[-1].rhs_calls == calls
 
     def test_diagnostics_count_rhs_calls_and_rejections(self):
         params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
         rho0 = density_from_pure(coherent_state(3.0, FockCutoff(60)))
-        traj = evolve(rho0, params, TimeGrid.uniform(2.0, 21))
+        traj = evolve(rho0, params, TimeGrid.uniform(5.0, 21))
         diags = traj.diagnostics
         assert (diags[0].steps, diags[0].rejected, diags[0].rhs_calls) == (0, 0, 0)
-        # the last output ends the last step: 1 + 7 calls per accepted step
-        assert diags[-1].rhs_calls == 1 + 7 * diags[-1].steps
+        assert (diags[0].block, diags[0].resizes) == (0, 0)
+        # the last output ends the last step: 1 + 7 calls per accepted step,
+        # plus 1 per resize
+        assert diags[-1].rhs_calls == 1 + 7 * diags[-1].steps + diags[-1].resizes
         assert diags[-1].rejected > 0
+        assert diags[-1].resizes > 0
         for a, b in zip(diags, diags[1:]):
             assert b.rejected >= a.rejected and b.rhs_calls >= a.rhs_calls
+            assert b.resizes >= a.resizes
         # an output inside a step has paid for that step's chain already
         for d in diags[1:]:
-            assert d.rhs_calls in (1 + 7 * d.steps, 1 + 7 * (d.steps + 1))
+            assert d.rhs_calls - d.resizes in (1 + 7 * d.steps, 1 + 7 * (d.steps + 1))
+            assert 2 <= d.block <= 61
         # the exact map integrates nothing
         unpumped = OscillatorParams(pump=0.0j, kerr=0.2, loss=1.0)
         exact = unpumped_evolve(rho0, unpumped, TimeGrid.uniform(2.0, 21))
-        assert all((d.steps, d.rejected, d.rhs_calls) == (0, 0, 0) for d in exact.diagnostics)
+        assert all(
+            (d.steps, d.rejected, d.rhs_calls, d.block, d.resizes) == (0, 0, 0, 0, 0)
+            for d in exact.diagnostics
+        )
+
+
+def _full_cutoff(monkeypatch) -> None:
+    """Integrate at the declared cutoff: every block is the whole matrix."""
+    monkeypatch.setattr(dynamics, "_block_size", lambda pop, dim: dim)
+
+
+class TestIntegrationBlock:
+    bundled = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+    lossless = OscillatorParams(pump=0.5 + 0.0j, kerr=0.2, loss=0.0)
+
+    def test_cost_follows_the_support_not_the_cutoff(self):
+        grid = TimeGrid.uniform(10.0, 101)
+        runs = {
+            n_cut: evolve(
+                density_from_pure(coherent_state(3.0, FockCutoff(n_cut))), self.bundled, grid
+            )
+            for n_cut in (45, 70, 130)
+        }
+        for a, b in zip(runs[45].states, runs[130].states):
+            assert float(np.max(np.abs(b.elements[:46, :46] - a.elements))) <= 2e-9
+        steps = {n_cut: run.diagnostics[-1].steps for n_cut, run in runs.items()}
+        assert abs(steps[130] - steps[45]) <= 0.1 * steps[45]
+        assert runs[70].diagnostics[-1].rejected <= 5
+        # the relaxed state fills fewer levels than the bundled cutoff
+        assert all(run.diagnostics[-1].block < 46 for run in runs.values())
+
+    def test_growing_support_matches_the_full_cutoff(self, monkeypatch):
+        # the vacuum fills towards the steady state: the block starts at
+        # _HEADROOM + 1 levels and must grow
+        rho0 = density_from_pure(fock_state(0, FockCutoff(45)))
+        grid = TimeGrid.uniform(5.0, 51)
+        first = dynamics._block_size(rho0.elements.diagonal().real, 46)
+        assert first == dynamics._HEADROOM + 1
+        blocked = evolve(rho0, self.bundled, grid)
+        assert max(d.block for d in blocked.diagnostics) > first
+        assert blocked.diagnostics[-1].resizes > 0
+        _full_cutoff(monkeypatch)
+        full = evolve(rho0, self.bundled, grid)
+        assert all(d.block == 46 and d.resizes == 0 for d in full.diagnostics[1:])
+        assert _max_element_diff(blocked, full) <= 2e-9
+
+    @pytest.mark.parametrize(
+        "rho0,outcome",
+        [
+            (coherent_state(2.0, FockCutoff(45)), "t = 0.35"),
+            (fock_state(3, FockCutoff(45)), "t = 1.05"),
+            (fock_state(0, FockCutoff(45)), (355, 92)),
+        ],
+        ids=["alpha2", "fock3", "fock0"],
+    )
+    def test_lossless_runs_keep_the_whole_matrix(self, rho0, outcome):
+        # no stationary support to follow, and a step that is not contractive
+        # on the imaginary axis: the outcomes and step counts of integrating
+        # at the declared cutoff
+        rho0 = density_from_pure(rho0)
+        grid = TimeGrid.uniform(5.0, 101)
+        if isinstance(outcome, str):
+            with pytest.raises(PositivityLost, match=outcome + "$"):
+                evolve(rho0, self.lossless, grid)
+            return
+        diags = evolve(rho0, self.lossless, grid).diagnostics
+        assert (diags[-1].steps, diags[-1].rejected) == outcome
+        assert all(d.block == 46 and d.resizes == 0 for d in diags[1:])
 
 
 def _max_element_diff(a: Trajectory, b: Trajectory) -> float:
