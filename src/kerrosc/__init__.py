@@ -88,6 +88,7 @@ from .fock import (
     default_cutoff,
     density_from_pure,
     fock_state,
+    leading_block,
     tail_mass,
 )
 from .gaussian import (

@@ -62,11 +62,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_steady(args: argparse.Namespace) -> int:
-    params = OscillatorParams(pump=args.p, kerr=args.G, loss=args.gamma0)
-    cutoff = (
-        FockCutoff(args.cutoff) if args.cutoff is not None
-        else default_cutoff(steady_mean_estimate(params))
-    )
+    try:
+        params = OscillatorParams(pump=args.p, kerr=args.G, loss=args.gamma0)
+        cutoff = None if args.cutoff is None else FockCutoff(args.cutoff)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
+    if cutoff is None:
+        cutoff = default_cutoff(steady_mean_estimate(params))
     columns, rows = steady_table(params, cutoff)
     widths = [22, 24, 24, 24]
     print("".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())

@@ -42,10 +42,8 @@ populations at t = 0 and again after every accepted step (`_block_size`):
 it keeps `_HEADROOM` levels above the last level with population at least
 1e-14, grows by 8 levels when one of the block's top `_TAIL_MARGIN`
 populations exceeds 1e-13, and shrinks only by 4 levels or more.  A block
-of a positive state is positive.  Every output is zero-padded back to the
-declared cutoff before the guards, so the tail mass at the cutoff reads 0
-while d <= dim - 5.  At loss 0 there is no stationary support to follow
-and the block is the whole matrix.
+of a positive state is positive.  At loss 0 there is no stationary support
+to follow and the block is the whole matrix.
 
 Without pump the master equation has an exact solution, each diagonal of rho
 evolving on its own; `unpumped_evolve` evaluates it at the sample times, in
@@ -53,11 +51,16 @@ blocks of `_MAP_BLOCK` times, with no integration.
 
 Both engines feed one driver, `_guarded_stream`, which runs the drift,
 tail-mass and positivity guards on each output in time order and hands it to
-a per-sample callback, keeping nothing itself.  `evolve` and `unpumped_evolve`
-collect every output into a `Trajectory`; `stream_evolution`, the scenario
-runner's entry, picks the engine (the exact map at pump 0) and leaves the
-keeping to its callback, so a run's memory need not grow with its sample
-count.
+a per-sample callback, keeping nothing itself.  An integrator output stays
+at the block that reached it, d x d on the leading levels of the declared
+basis: the guards, and whatever the callback measures, cost what the
+populated levels cost, and the tail mass at the declared cutoff reads 0
+while d <= dim - 5.  `stream_evolution`, the scenario runner's entry, picks
+the engine (the exact map at pump 0) and leaves the keeping, and any
+padding back to the declared cutoff, to its callback, so a run's memory
+need not grow with its sample count.  `evolve` and `unpumped_evolve` pad
+every output to the declared cutoff before its checks and collect them into
+a `Trajectory`.
 
 Alongside them live the closed-form maps used as oracles and cheap
 approximations: the lossless Kerr phase map, the linear-damping amplitude, and
@@ -89,9 +92,8 @@ from .fock import (
     FockCutoff,
     OscillatorParams,
     StateVector,
-    tail_mass,
+    leading_block,
 )
-from .gaussian import linearized_coeffs
 
 # Dormand-Prince 5(4) tableau (first-same-as-last).
 _DP_A = (
@@ -214,6 +216,8 @@ class StepDiagnostics:
                   accepted step + 1 per resize
     block       : the dimension integrated to reach this output
     resizes     : block resizes since t = 0
+    min_eigenvalue : the smallest eigenvalue of the checked output, its
+                  `DensityMatrix.spectrum[0]`: the margin to the -1e-9 floor
 
     Every count is 0 at t = 0 and for the exact map of `unpumped_evolve`.
     """
@@ -225,6 +229,7 @@ class StepDiagnostics:
     rhs_calls: int
     block: int
     resizes: int
+    min_eigenvalue: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,16 +284,28 @@ def _initial_step(
 
 
 def _error_norm(
-    err_vec: np.ndarray, abs_y: np.ndarray, y_new: np.ndarray, rtol: float, atol: float
+    err_vec: np.ndarray,
+    abs_y: np.ndarray,
+    y_new: np.ndarray,
+    rtol: float,
+    atol: float,
+    work: np.ndarray | None = None,
 ) -> float:
     """Max over entries of |err| / (atol + rtol * max(|y|, |y_new|)).
 
     A maximum, not an RMS: the few populated entries of a density matrix
     must each meet the tolerance, however many nearly empty tail entries
-    the cutoff adds to the mean.
+    the cutoff adds to the mean.  `work`, if given, is a real (2,) + abs_y.shape
+    buffer the two intermediate arrays are written into.
     """
-    sc = atol + rtol * np.maximum(abs_y, np.abs(y_new))
-    return float(np.max(np.abs(err_vec) / sc))
+    sc, ratio = np.empty((2,) + abs_y.shape) if work is None else work
+    np.abs(y_new, out=sc)
+    np.maximum(abs_y, sc, out=sc)
+    sc *= rtol
+    sc += atol
+    np.abs(err_vec, out=ratio)
+    ratio /= sc
+    return float(ratio.max())
 
 
 def _step_factor(err: float) -> float:
@@ -365,18 +382,12 @@ def _block_size(pop: np.ndarray, dim: int) -> int:
     3e-12 of integration noise whatever the block.
     """
     d = pop.shape[0]
-    if np.any(pop[-_TAIL_MARGIN:] > _GROW_AT):
+    if (pop[-_TAIL_MARGIN:] > _GROW_AT).any():
         return min(d + _GROW_BY, dim)
-    fit = min(int(np.flatnonzero(pop >= _FILLED)[-1]) + 1 + _HEADROOM, dim)
+    # levels up to and including the last filled one
+    filled = d - int((pop[::-1] >= _FILLED).argmax())
+    fit = min(filled + _HEADROOM, dim)
     return fit if fit <= d - _SHRINK_BY else d
-
-
-def _leading(x: np.ndarray, d: int) -> np.ndarray:
-    """The leading d x d block of x, zero-padded where x is smaller."""
-    out = np.zeros((d, d), dtype=complex)
-    k = min(d, x.shape[0])
-    out[:k, :k] = x[:k, :k]
-    return out
 
 
 def _linear_krylov(
@@ -406,8 +417,11 @@ def _linear_krylov(
     d x d block is integrated, d from `_block_size` at t = 0 and again after
     every accepted step but the last.  A principal block of a positive
     state is positive, and growing pads with zeros.  A resize restarts the
-    chain at one RHS call; samples are zero-padded back to dim.  Resizes
-    look only at accepted states, so the steps do not depend on the grid.
+    chain at one RHS call.  Samples are d x d, the block that reached them;
+    padding them back to dim is the caller's choice.  Resizes look only at
+    accepted states, so the steps do not depend on the grid.  |y|, the
+    weighted sums over the chain and the error norm work in buffers
+    allocated once per block.
     """
     n = times.shape[0]
     if n < 2:
@@ -417,9 +431,11 @@ def _linear_krylov(
     full = y.shape
     rhs: dict[int, Callable[..., np.ndarray]] = {}
 
-    def restart(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Callable[..., np.ndarray]]:
+    def restart(x: np.ndarray) -> tuple[np.ndarray, ...]:
         # chain[j] = L^j x, complex; its real view makes every weighted sum
-        # over the chain one real product with (9, 2N) rows
+        # over the chain one real product with (9, 2N) rows.  With it come
+        # the buffers of this size: |x|, the (3, 2N) product and the error
+        # norm's two rows.
         d = x.shape[0]
         if d not in rhs:
             rhs[d] = rhs_at(d)
@@ -427,17 +443,17 @@ def _linear_krylov(
         chain = np.empty((9,) + x.shape, dtype=complex)
         chain[0] = x
         f(chain[0], out=chain[1])
-        return chain, chain.view(float).reshape(9, -1), f
-
-    def padded(x: np.ndarray) -> np.ndarray:
-        return x if x.shape == full else _leading(x, full[0])
+        flat = chain.view(float).reshape(9, -1)
+        prod = np.empty((3, flat.shape[1]))
+        return chain, flat, f, np.empty(x.shape), prod, np.empty((2,) + x.shape)
 
     if blocked:
-        y = _leading(y, _block_size(y.diagonal().real, full[0]))
-    chain, flat, f = restart(y)
+        y = leading_block(y, _block_size(y.diagonal().real, full[0]))
+    chain, flat, f, abs_y, prod, work = restart(y)
     shape = y.shape
     calls = 1
     h = _initial_step(y, chain[1], t_end - t, rtol, atol)
+    weights = np.empty_like(_KRYLOV_W)
 
     steps = rejected = resizes = 0
     idx = 1
@@ -453,33 +469,34 @@ def _linear_krylov(
             for j in range(2, 9):
                 f(chain[j - 1], out=chain[j])
             calls += 7
-            abs_y = np.abs(chain[0])
+            np.abs(chain[0], out=abs_y)
             stale = False
-        y_new, err_vec, fsal = (
-            (_KRYLOV_W * h**_KRYLOV_W_EXP) @ flat
-        ).view(complex).reshape((3,) + shape)
-        err = _error_norm(err_vec, abs_y, y_new, rtol, atol)
+        np.power(h, _KRYLOV_W_EXP, out=weights)
+        weights *= _KRYLOV_W
+        np.matmul(weights, flat, out=prod)
+        y_new, err_vec, fsal = prod.view(complex).reshape((3,) + shape)
+        err = _error_norm(err_vec, abs_y, y_new, rtol, atol, work)
         if err <= 1.0:
             t_new = t_end if last else t + h
             while idx < n and times[idx] < t_new:
                 s = float(times[idx]) - t
                 sample = ((_KRYLOV_C * s**_KRYLOV_POWERS) @ flat[:8]).view(complex)
                 counts = (steps, rejected, calls, shape[0], resizes)
-                yield padded(project(sample.reshape(shape))), counts
+                yield project(sample.reshape(shape)), counts
                 idx += 1
             y = project(y_new)
             steps += 1
             t = t_new
             stale = True
             if idx < n and times[idx] == t:
-                yield padded(y), (steps, rejected, calls, shape[0], resizes)
+                yield y, (steps, rejected, calls, shape[0], resizes)
                 idx += 1
             d = _block_size(y.diagonal().real, full[0]) if blocked and t < t_end else shape[0]
             if d == shape[0]:
                 chain[0] = y
                 chain[1] = fsal
             else:
-                chain, flat, f = restart(_leading(y, d))
+                chain, flat, f, abs_y, prod, work = restart(leading_block(y, d))
                 shape = (d, d)
                 calls += 1
                 resizes += 1
@@ -560,6 +577,7 @@ def _guarded_stream(
     grid: TimeGrid,
     samples: _Samples,
     on_sample: Callable[[float, DensityMatrix, StepDiagnostics], None],
+    pad: bool = False,
 ) -> StepDiagnostics:
     """Pass rho0 and the samples at grid.times[1:] through the output guards.
 
@@ -568,27 +586,40 @@ def _guarded_stream(
     returned.  Nothing is kept here, so a caller that keeps no states runs
     in memory independent of the sample count.  `samples(project)` yields
     (sample, (steps, rejected, rhs_calls, block, resizes)) in time order,
-    the counts of `StepDiagnostics`.  `project` hermitizes and renormalizes a raw state
+    the counts of `StepDiagnostics`.  A sample is a d x d array on the
+    leading d levels of rho0's basis, d <= rho0.dim; with `pad` it is
+    zero-padded to rho0.dim before the checks, otherwise it is checked and
+    handed on at its own size, so the per-sample work follows the
+    integrated block.  `project` hermitizes and renormalizes a raw state
     and adds its |trace - 1| to the drift of the current output segment;
     every state a source produces (for the integrator, each accepted step as
     well as each sample) goes through it.  At each output, in time order:
     the drift since the previous output must stay below 1e-8 per unit time
     (else `DriftTooLarge`), the population within `_TAIL_MARGIN` entries of
-    the truncation edge below 1e-6 (else `CutoffExceeded`), and the sample
-    must then pass the `DensityMatrix` check (else `PositivityLost`).
+    the declared truncation edge below 1e-6 (else `CutoffExceeded`; 0 while
+    d <= dim - `_TAIL_MARGIN`), and the sample must then pass the
+    `DensityMatrix` check (else `PositivityLost`).  The t = 0 output is rho0
+    itself.
     """
     dim = rho0.dim
-    margin = min(_TAIL_MARGIN, dim - 1)
+    edge = dim - min(_TAIL_MARGIN, dim - 1)
     drift_acc = 0.0
 
     def project(y: np.ndarray) -> np.ndarray:
         nonlocal drift_acc
-        tr = np.trace(y).real
+        tr = y.trace().real
         drift_acc += abs(tr - 1.0)
-        return (0.5 / tr) * (y + y.conj().T)
+        out = np.conjugate(y.T, order="C")
+        out += y
+        out *= 0.5 / tr
+        return out
+
+    def tail(y: np.ndarray) -> float:
+        # the diagonal from the declared edge on; empty for a smaller block
+        return float(np.sum(y.diagonal().real[edge:]))
 
     times = grid.times
-    diag = StepDiagnostics(0.0, tail_mass(rho0, margin), 0, 0, 0, 0, 0)
+    diag = StepDiagnostics(0.0, tail(rho0.elements), 0, 0, 0, 0, 0, float(rho0.spectrum[0]))
     on_sample(float(times[0]), rho0, diag)
     for idx, (y, counts) in enumerate(samples(project), start=1):
         ta, tb = float(times[idx - 1]), float(times[idx])
@@ -598,9 +629,11 @@ def _guarded_stream(
                 f"trace drift {drift_acc:.3e} over [{ta:.6g}, {tb:.6g}] "
                 f"exceeds budget {budget:.3e}"
             )
+        if pad:
+            y = leading_block(y, dim)
         # a basis without headroom also breaks positivity, so report the
         # tail first
-        tm = tail_mass(y, margin)
+        tm = tail(y)
         if tm > 1e-6:
             raise CutoffExceeded(
                 f"tail mass {tm:.3e} at t = {tb:.6g} (n_cut = {dim - 1} too small)"
@@ -609,14 +642,14 @@ def _guarded_stream(
             state = DensityMatrix(y)
         except ValueError as exc:
             raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
-        diag = StepDiagnostics(drift_acc, tm, *counts)
+        diag = StepDiagnostics(drift_acc, tm, *counts, float(state.spectrum[0]))
         on_sample(tb, state, diag)
         drift_acc = 0.0
     return diag
 
 
 def _collect(rho0: DensityMatrix, grid: TimeGrid, samples: _Samples) -> Trajectory:
-    """Every output of `_guarded_stream`, kept as a `Trajectory`."""
+    """Every output of `_guarded_stream`, zero-padded to rho0.dim, kept as a `Trajectory`."""
     states: list[DensityMatrix] = []
     diags: list[StepDiagnostics] = []
 
@@ -624,7 +657,7 @@ def _collect(rho0: DensityMatrix, grid: TimeGrid, samples: _Samples) -> Trajecto
         states.append(state)
         diags.append(diag)
 
-    _guarded_stream(rho0, grid, samples, keep)
+    _guarded_stream(rho0, grid, samples, keep, pad=True)
     return Trajectory(times=grid, states=tuple(states), diagnostics=tuple(diags))
 
 
@@ -665,10 +698,11 @@ def evolve(
     guards of `_guarded_stream` (`DriftTooLarge`, `CutoffExceeded`,
     `PositivityLost`).  Only the leading block of populated levels is
     integrated (at loss 0 the whole matrix), and each output is zero-padded
-    back to the declared cutoff.  `StepDiagnostics` counts the accepted steps
-    completed at or before the output time, the rejected steps, the RHS
-    calls (1 + 7 per accepted step + 1 per resize) and the block resizes
-    made so far, and gives the block integrated.  Every state is kept, so
+    back to the declared cutoff before the guards: the states are those
+    `stream_evolution` hands on, padded.  `StepDiagnostics` counts the
+    accepted steps completed at or before the output time, the rejected
+    steps, the RHS calls (1 + 7 per accepted step + 1 per resize) and the
+    block resizes made so far, and gives the block integrated.  Every state is kept, so
     memory grows with the sample count; `stream_evolution` keeps none.
     """
     return _collect(rho0, grid, _krylov_samples(rho0, params, grid, rtol, atol))
@@ -787,6 +821,15 @@ def stream_evolution(
     same errors as there, reaches `on_sample(t, state, diagnostics)` in time
     order, and the last `StepDiagnostics` is returned.  Memory does not grow
     with the sample count unless `on_sample` keeps the states.
+
+    The t = 0 output is rho0 itself.  Every later state is the integrated
+    block: `state.dim` is `diagnostics.block`, rho on the leading levels of
+    rho0's basis and zero beyond them (the exact map and loss-0 runs keep
+    the whole matrix).  The state at the declared cutoff is its zero-padded
+    copy, `DensityMatrix(fock.leading_block(state.elements, rho0.dim))`,
+    which is what `evolve` keeps; `measures.bures_distance` and
+    `measures.relative_entropy` take the block state against a target at
+    the declared cutoff as it is.
     """
     if params.pump == 0:
         samples = _unpumped_samples(rho0, params, grid)
@@ -867,13 +910,18 @@ def linearized_noise_path(
     if B0 < 0:
         raise ValueError("B0 must be >= 0")
 
+    p, g, g0 = params.pump, params.kerr, params.loss
+
     def rhs(y: np.ndarray) -> np.ndarray:
-        alpha, b, c = y
-        coeffs = linearized_coeffs(alpha, params)
-        gam, dlt = coeffs.gamma_eff, coeffs.delta_eff
-        d_b = -(gam + np.conj(gam)) * b - (np.conj(dlt) * c + dlt * np.conj(c))
+        # Python scalars: the rates of `gaussian.linearized_coeffs` and
+        # `_alpha_rate`, with the same operations in the same order
+        alpha, b, c = y.tolist()
+        intensity = abs(alpha) ** 2
+        gam = g0 + 4j * g * intensity
+        dlt = 2j * g * alpha * alpha
+        d_b = -(gam + gam.conjugate()) * b - (dlt.conjugate() * c + dlt * c.conjugate())
         d_c = -dlt * (1.0 + 2.0 * b) - 2.0 * gam * c
-        return np.array([_alpha_rate(alpha, params), d_b, d_c])
+        return np.array([p - 2j * g * intensity * alpha - g0 * alpha, d_b, d_c])
 
     y0 = np.array([complex(alpha0), complex(B0), complex(C0)])
     ys = np.array([y0] + list(_adaptive_rk(rhs, y0, grid.times, rtol, atol)))

@@ -28,6 +28,8 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-9
 _EIG_TOL = 1e-9
+# eigenvalue floor of the logarithms in the entropy and the relative entropy
+LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,11 @@ class DensityMatrix:
     `spectrum` holds the ascending eigenvalues found by the positivity
     check, read-only, so the spectral measures need not decompose again.
     `eigenpairs` is the full decomposition and `root` the matrix square root
-    built from it, each computed on first use and kept, so a state compared
-    against many others is decomposed and rooted once.
+    built from it; `leading_root(d)` roots the leading d x d block, and
+    `log_matrix` and `null_projector` are ln(rho) with the eigenvalues
+    floored at `LOG_FLOOR` and the projector on the eigenvectors below it.
+    Each is computed on first use and kept, so a state compared against many
+    others is decomposed and rooted once.
     """
 
     elements: np.ndarray
@@ -126,7 +131,9 @@ class DensityMatrix:
         tr = complex(np.trace(el))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
-        spectrum = np.linalg.eigvalsh(0.5 * (el + el.conj().T))
+        # an exactly Hermitian input, as every projected sample is, is its
+        # own symmetrization
+        spectrum = np.linalg.eigvalsh(el if herm == 0.0 else 0.5 * (el + el.conj().T))
         w_min = float(spectrum[0])
         if w_min < -_EIG_TOL:
             raise ValueError(f"minimum eigenvalue {w_min:.3e} below -{_EIG_TOL}")
@@ -151,6 +158,36 @@ class DensityMatrix:
         """sqrt(rho) from `eigenpairs`, with the eigenvalues clipped at 0."""
         w, v = self.eigenpairs
         return _read_only((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+
+    @cached_property
+    def _leading_roots(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def leading_root(self, d: int) -> np.ndarray:
+        """sqrt of the leading d x d block of rho, eigenvalues clipped at 0; `root` at dim."""
+        if d == self.dim:
+            return self.root
+        roots = self._leading_roots
+        if d not in roots:
+            try:
+                w, v = np.linalg.eigh(self.elements[:d, :d])
+            except np.linalg.LinAlgError as exc:
+                raise EigSolverFailure(str(exc)) from exc
+            roots[d] = _read_only((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+        return roots[d]
+
+    @cached_property
+    def log_matrix(self) -> np.ndarray:
+        """ln(rho) from `eigenpairs`, with the eigenvalues floored at `LOG_FLOOR`."""
+        w, v = self.eigenpairs
+        return _read_only((v * np.log(np.clip(w, LOG_FLOOR, None))) @ v.conj().T)
+
+    @cached_property
+    def null_projector(self) -> np.ndarray:
+        """Projector on the eigenvectors with eigenvalue below `LOG_FLOOR`."""
+        w, v = self.eigenpairs
+        null = v[:, w < LOG_FLOOR]
+        return _read_only(null @ null.conj().T)
 
 
 def default_cutoff(mean_n_init: float) -> FockCutoff:
@@ -274,6 +311,19 @@ def _hermitize(raw: np.ndarray) -> np.ndarray:
     """(rho + rho^dag)/2, renormalized to unit trace (no drift guard)."""
     sym = 0.5 * (raw + raw.conj().T)
     return sym / np.trace(sym).real
+
+
+def leading_block(x: np.ndarray, d: int) -> np.ndarray:
+    """The leading d x d block of the square array x, zero-padded where x is smaller.
+
+    x itself when it is d x d already, so the result must not be written to.
+    """
+    if x.shape[0] == d:
+        return x
+    out = np.zeros((d, d), dtype=complex)
+    k = min(d, x.shape[0])
+    out[:k, :k] = x[:k, :k]
+    return out
 
 
 def tail_mass(rho: DensityMatrix | np.ndarray, margin: int) -> float:

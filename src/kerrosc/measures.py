@@ -7,6 +7,7 @@ between density matrices (Bures, relative entropy).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,9 +21,7 @@ from .errors import (
     SupportMismatch,
     VacuumLimitWarning,
 )
-from .fock import DensityMatrix, StateVector
-
-_LOG_FLOOR = 1e-12  # eigenvalue floor for logarithms in E and D_KL
+from .fock import LOG_FLOOR, DensityMatrix, StateVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +91,19 @@ class SpectralDecomposition:
             raise ValueError("eigenstates not orthonormal within 1e-9")
 
 
+@functools.lru_cache(maxsize=64)
+def _ladders(dim: int) -> tuple[np.ndarray, ...]:
+    """n, sqrt(n) for n >= 1, n^2 and sqrt(n(n-1)) for n >= 2, at this dimension.
+
+    Read-only: every `moments` call at this dimension shares them.
+    """
+    n = np.arange(dim, dtype=float)
+    ladders = (n, np.sqrt(n[1:]), n**2, np.sqrt(n[2:] * n[1:-1]))
+    for arr in ladders:
+        arr.setflags(write=False)
+    return ladders
+
+
 def moments(rho: DensityMatrix) -> MomentSet:
     """Trace moments against the truncated a, a^dag a, (a^dag a)^2, a^2.
 
@@ -100,12 +112,12 @@ def moments(rho: DensityMatrix) -> MomentSet:
     <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2}.
     """
     el = rho.elements
-    n_diag = np.arange(rho.dim, dtype=float)
+    n_diag, root_n, n_sq, root_n2 = _ladders(rho.dim)
     diag = el.diagonal().real
-    mean_a = complex(np.sum(np.sqrt(n_diag[1:]) * el.diagonal(-1)))
-    mean_n = float(np.sum(n_diag * diag))
-    mean_n2 = float(np.sum(n_diag**2 * diag))
-    mean_a2 = complex(np.sum(np.sqrt(n_diag[2:] * n_diag[1:-1]) * el.diagonal(-2)))
+    mean_a = complex((root_n * el.diagonal(-1)).sum())
+    mean_n = float((n_diag * diag).sum())
+    mean_n2 = float((n_sq * diag).sum())
+    mean_a2 = complex((root_n2 * el.diagonal(-2)).sum())
     B = mean_n - abs(mean_a) ** 2
     if -1e-10 < B < 0.0:  # round-off; B >= 0 for any physical state
         B = 0.0
@@ -149,7 +161,7 @@ def spectral_decomposition(rho: DensityMatrix) -> SpectralDecomposition:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """E = -sum p_k ln p_k over the spectrum, with 0 ln 0 = 0."""
-    w = rho.spectrum[rho.spectrum > _LOG_FLOOR]
+    w = rho.spectrum[rho.spectrum > LOG_FLOOR]
     return max(float(-np.sum(w * np.log(w))), 0.0)
 
 
@@ -199,17 +211,33 @@ def max_linear_entropy_bound(mean_n: float) -> tuple[float, np.ndarray]:
     return l_max, np.clip(weights, 0.0, None)
 
 
+def _on_target(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+    """Raise `DimensionMismatch` unless rho fits on the leading levels of sigma's basis."""
+    if rho.dim > sigma.dim:
+        raise DimensionMismatch(f"state dim {rho.dim} exceeds target dim {sigma.dim}")
+
+
+def _trace_product(op: np.ndarray, rho: DensityMatrix) -> float:
+    """Tr(op rho) for a Hermitian op, with rho zero beyond its leading block."""
+    d = rho.dim
+    return float(np.vdot(op[:d, :d], rho.elements).real)
+
+
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Bures distance D_B = 2 - 2 Tr{[sqrt(sigma) rho sqrt(sigma)]^{1/2}}.
 
-    Both square roots go through Hermitian eigendecompositions with
-    eigenvalues clipped at zero; the result is clamped into [0, 2].  sqrt(sigma)
-    is its cached `root`, so comparing many states against one target
-    decomposes and roots the target once.
+    rho may be smaller than sigma: it is read on the leading rho.dim levels
+    of sigma's basis and as zero beyond them.  For rho supported on the
+    leading d levels, sqrt(sigma) rho sqrt(sigma) has the nonzero spectrum of
+    sqrt(sigma_d) rho sqrt(sigma_d), sigma_d the leading d x d block of
+    sigma, so the distance is exact at size d.  Both square roots go through
+    Hermitian eigendecompositions with eigenvalues clipped at zero; the
+    result is clamped into [0, 2].  sqrt(sigma_d) is sigma's cached
+    `leading_root(d)` (its `root` at d = sigma.dim), so comparing many states
+    against one target decomposes and roots the target once per size.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
-    s_root = sigma.root
+    _on_target(rho, sigma)
+    s_root = sigma.leading_root(rho.dim)
     inner = s_root @ rho.elements @ s_root
     try:
         w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
@@ -222,23 +250,22 @@ def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy Tr{rho (ln rho - ln sigma)}.
 
-    Evaluated in sigma's eigenbasis (its cached `eigenpairs`) with eigenvalue
-    floor 1e-12.  If rho puts more than 1e-6 of its weight on
-    sigma-eigenvectors below the floor the quantity is effectively infinite
-    and a SupportMismatch is raised.
+    rho may be smaller than sigma, read as zero beyond its leading block as
+    in `bures_distance`.  The cross term Tr(rho ln sigma) is one inner
+    product with sigma's cached `log_matrix`, its eigenvalues floored at
+    1e-12.  If rho puts more than 1e-6 of its weight on sigma's eigenvectors
+    below the floor, Tr(rho P) with sigma's cached `null_projector` P, the
+    quantity is effectively infinite and a SupportMismatch is raised.  Past
+    the target's first call, the cost is O(dim^2) plus rho's own spectrum.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dims {rho.dim} != {sigma.dim}")
-    sw, sv = sigma.eigenpairs
-    # weight of rho along each sigma eigenvector
-    rho_diag = np.einsum("ji,ji->i", sv.conj(), rho.elements @ sv).real
-    outside = float(np.sum(rho_diag[sw < _LOG_FLOOR]))
+    _on_target(rho, sigma)
+    outside = _trace_product(sigma.null_projector, rho)
     if outside > 1e-6:
         raise SupportMismatch(
             f"rho weight {outside:.3e} on near-null sigma subspace (> 1e-6)"
         )
-    cross = float(np.sum(rho_diag * np.log(np.clip(sw, _LOG_FLOOR, None))))
-    rw = rho.spectrum[rho.spectrum > _LOG_FLOOR]
+    cross = _trace_product(sigma.log_matrix, rho)
+    rw = rho.spectrum[rho.spectrum > LOG_FLOOR]
     self_term = float(np.sum(rw * np.log(rw)))
     d = self_term - cross
     return 0.0 if -1e-9 < d < 0.0 else d

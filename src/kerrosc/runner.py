@@ -53,6 +53,7 @@ from .fock import (
     default_cutoff,
     density_from_pure,
     fock_state,
+    leading_block,
 )
 from .gaussian import (
     gaussian_vs_exact_report,
@@ -242,8 +243,10 @@ def _consume_evolution(
 
     Each sample adds a timeseries row, <a> for the classical path and a row
     of distances to `target` (the stationary state, None without a distance
-    output); states are kept only at snapshot times, plus the last one for
-    the summary.  Evolution failures become `IntegrationFailure`.
+    output), all from the state at its integrated block size; states are
+    kept only at snapshot times, zero-padded to the declared cutoff, plus
+    the last one for the summary.  Evolution failures become
+    `IntegrationFailure`.
     """
     specs = config.outputs
     kept = _Kept(
@@ -268,7 +271,10 @@ def _consume_evolution(
         if kept.distance is not None:
             kept.distance.append(_distance_row(t, state, target))
         if t in wanted:
-            kept.snapshots[t] = state
+            kept.snapshots[t] = (
+                state if state.dim == psi0.dim
+                else DensityMatrix(leading_block(state.elements, psi0.dim))
+            )
         kept.final = state
 
     try:
@@ -526,7 +532,10 @@ def render_grid(grid_path, out_path=None) -> str:
     for line in text.splitlines():
         if line.startswith("#") or not line.strip():
             continue
-        vals = [float(tok) for tok in line.split()]
+        try:
+            vals = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise IoError(f"{src}: non-numeric grid value ({exc})") from exc
         if width is None:
             width = len(vals)
         elif len(vals) != width:

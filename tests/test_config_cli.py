@@ -716,6 +716,33 @@ class TestCli:
         assert float(np.max(np.abs(raised_table[:, :9] - bundled[:, :9]))) <= 1e-8
         assert abs(steps[1] - steps[0]) <= 0.1 * steps[0]
 
+    def test_bundled_fig10_at_cutoff_90_matches_the_bundled_run(self, tmp_path):
+        # block-sized samples against a target at dim 91: the distances read
+        # the state on the target's leading levels
+        from importlib.resources import files
+
+        text = (files("kerrosc") / "scenarios" / "fig10_coherent.yaml").read_text(
+            encoding="utf-8"
+        )
+        raised = text.replace("cutoff: 45", "cutoff: 90")
+        assert raised != text
+        tables, steps = [], []
+        for name, scenario in (("bundled", text), ("raised", raised)):
+            report = run_scenario(validate_config(scenario), tmp_path / name)
+            lines = (tmp_path / name / "fig10_coherent_distance.csv").read_text().splitlines()
+            rows = [line for line in lines if not line.startswith("#")][1:]
+            # an empty relative-entropy cell: weight outside the target's support
+            tables.append(np.array(
+                [[float(c) if c else np.nan for c in row.split(",")] for row in rows]
+            ))
+            steps.append(report.steps)
+        bundled, raised_table = tables
+        empty = np.isnan(bundled)
+        assert np.array_equal(np.isnan(raised_table), empty)
+        assert empty.any() and not empty.all()
+        assert float(np.max(np.abs(raised_table - bundled)[~empty])) <= 1e-7
+        assert abs(steps[1] - steps[0]) <= 0.1 * steps[0]
+
     def test_run_positivity_loss_exits_3_without_traceback(self, tmp_path):
         # lossless and pumped from |alpha=2> at n_cut 45: the eigenvalue
         # floor breaks before the tail mass exceeds its budget
@@ -784,6 +811,26 @@ class TestCli:
         code = main(["steady", "--G", "0.2", "--gamma0", "1", "--p", "20,0", "--cutoff", "180"])
         assert code == 0
         assert "mean_n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--gamma0", "-1"), ("--p", "nan"), ("--G", "inf"), ("--cutoff", "0")]
+    )
+    def test_steady_invalid_argument_is_a_config_error(self, flag, value, capsys):
+        args = {"--G": "0.2", "--gamma0": "1", "--p": "5,0", flag: value}
+        code = main(["steady"] + [tok for pair in args.items() for tok in pair])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert err.count("\n") == 1
+
+    def test_render_non_numeric_grid_is_an_io_error(self, tmp_path, capsys):
+        src = tmp_path / "g.grid"
+        src.write_text("0 1\n2 three\n")
+        assert main(["render", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and "three" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "g.pgm").exists()
 
     def test_render_subcommand(self, tmp_path, capsys):
         src = tmp_path / "g.grid"

@@ -296,10 +296,20 @@ class TestDistances:
             relative_entropy(rho, sigma)
 
     def test_dimension_mismatch(self, rng):
+        # a smaller state is read on the target's leading levels, zero beyond
+        rho, sigma = random_density(rng, 4), random_density(rng, 5)
+        padded = embedded(rho, 5)
+        assert bures_distance(rho, sigma) == pytest.approx(
+            bures_distance(padded, sigma), abs=1e-12
+        )
+        assert relative_entropy(rho, sigma) == pytest.approx(
+            relative_entropy(padded, sigma), abs=1e-12
+        )
+        # a larger one does not fit
         with pytest.raises(DimensionMismatch):
-            bures_distance(random_density(rng, 4), random_density(rng, 5))
+            bures_distance(random_density(rng, 5), random_density(rng, 4))
         with pytest.raises(DimensionMismatch):
-            relative_entropy(random_density(rng, 4), random_density(rng, 5))
+            relative_entropy(random_density(rng, 5), random_density(rng, 4))
 
     def test_orthogonal_pure_states_are_maximally_distant(self):
         cutoff = FockCutoff(4)
@@ -397,3 +407,57 @@ class TestCachedTargetDecomposition:
             bures_distance(rho, sigma)
         with pytest.raises(DimensionMismatch):
             relative_entropy(rho, sigma)
+
+
+def _nuclear_norm_bures(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """2 - 2 ||sqrt(rho) sqrt(sigma)||_1 with rho zero-padded to sigma's size.
+
+    Singular values keep the padded null space at round-off, where the
+    eigenvalue route takes square roots of round-off eigenvalues (about 1e-8
+    each at these sizes).
+    """
+    w, v = rho.eigenpairs
+    root = np.zeros(sigma.elements.shape, dtype=complex)
+    root[: rho.dim, : rho.dim] = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    singular = np.linalg.svd(root @ sigma.root, compute_uv=False)
+    return 2.0 - 2.0 * float(np.sum(singular))
+
+
+class TestBlockSupportedStates:
+    """A state on the leading levels of the target's basis, as evolution outputs are."""
+
+    @pytest.mark.parametrize("dim", [46, 91])
+    def test_distances_equal_the_zero_padded_state(self, rng, dim):
+        sigma = random_density(rng, dim)
+        for d in (2, 12, 34, dim - 1, dim):
+            rho = random_density(rng, d)
+            padded = embedded(rho, dim)
+            assert relative_entropy(rho, sigma) == pytest.approx(
+                relative_entropy(padded, sigma), abs=1e-12
+            )
+            assert bures_distance(rho, sigma) == pytest.approx(
+                _nuclear_norm_bures(padded, sigma), abs=1e-10
+            )
+
+    def test_block_roots_are_cached_per_size(self, rng):
+        sigma = random_density(rng, 12)
+        bures_distance(random_density(rng, 7), sigma)
+        bures_distance(random_density(rng, 9), sigma)
+        first = sigma.leading_root(7)
+        assert sigma.leading_root(7) is first
+        assert sigma.leading_root(12) is sigma.root
+        assert not first.flags.writeable
+        w, v = np.linalg.eigh(sigma.elements[:7, :7])
+        assert np.array_equal(first, (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+
+    def test_support_mismatch_is_read_on_the_block(self):
+        # the target's null space starts above level 3: a block state on
+        # levels 0-3 fits, one with weight on level 5 does not
+        weights = np.array([0.4, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0])
+        sigma = DensityMatrix(np.diag(weights).astype(complex))
+        inside = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        expected = 0.5 * math.log(0.5 / 0.4) + 0.5 * math.log(0.5 / 0.3)
+        assert relative_entropy(inside, sigma) == pytest.approx(expected, abs=1e-12)
+        outside = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.0, 0.0, 0.5]).astype(complex))
+        with pytest.raises(SupportMismatch):
+            relative_entropy(outside, sigma)

@@ -10,6 +10,7 @@ a bit.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from kerrosc.dynamics import (
     unpumped_evolve,
 )
 from kerrosc.errors import PumpNotZero, SupportMismatch
-from kerrosc.fock import FockCutoff, coherent_state, density_from_pure
+from kerrosc.fock import (
+    FockCutoff,
+    OscillatorParams,
+    coherent_state,
+    density_from_pure,
+    leading_block,
+)
 from kerrosc.measures import (
     bures_distance,
     linear_entropy_and_purity,
@@ -204,3 +211,56 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < states_bytes / 4
+
+
+class TestBlockOutputs:
+    """Stream outputs keep the integrated block; `evolve` pads them."""
+
+    bundled = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+
+    def test_outputs_at_a_large_cutoff_are_block_sized(self):
+        # the relaxed state fills about 35 levels of the 131 declared
+        rho0 = density_from_pure(coherent_state(3.0 * np.exp(0.4j), FockCutoff(130)))
+        seen = []
+        last = stream_evolution(rho0, self.bundled, TimeGrid.uniform(10.0, 501),
+                                lambda t, state, diag: seen.append((state, diag)))
+        assert seen[0][0] is rho0 and seen[0][1].block == 0
+        assert last.resizes > 0
+        for state, diag in seen[1:]:
+            assert state.dim == diag.block < 60
+            assert diag.tail_mass == 0.0
+        for state, diag in seen:
+            assert diag.min_eigenvalue == state.spectrum[0]
+            assert diag.min_eigenvalue >= -1e-9
+
+    def test_evolve_states_are_the_padded_stream_states(self):
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(60)))
+        grid = TimeGrid.uniform(5.0, 51)
+        seen = []
+        stream_evolution(rho0, self.bundled, grid,
+                         lambda t, state, diag: seen.append((state, diag)))
+        traj = evolve(rho0, self.bundled, grid)
+        assert any(diag.block < rho0.dim for _, diag in seen[1:])
+        for (state, diag), kept, kept_diag in zip(seen, traj.states, traj.diagnostics):
+            assert kept.dim == rho0.dim
+            assert np.array_equal(leading_block(state.elements, rho0.dim), kept.elements)
+            # the counts and the guards' readings agree; the spectrum of the
+            # padded state adds the zeros of the padding
+            assert replace(diag, min_eigenvalue=0.0) == replace(kept_diag, min_eigenvalue=0.0)
+            assert kept_diag.min_eigenvalue == kept.spectrum[0]
+
+    def test_snapshot_grids_use_the_padded_state(self, tmp_path):
+        # at cutoff 45 the block shrinks below the declared cutoff, and the
+        # grids are those of the zero-padded states that evolve keeps
+        config = validate_config(
+            STREAM_YAML.format(pump=5.0, samples=31)
+            .replace("cutoff: 24", "cutoff: 45")
+            .replace("[0.125, 0.71]", "[0.125, 1.5]")
+        )
+        assert isinstance(config, ScenarioConfig)
+        run_scenario(config, tmp_path / "run")
+        (tmp_path / "ref").mkdir()
+        expected = files_from_trajectory(config, tmp_path / "ref")
+        for si in range(2):
+            got = (tmp_path / "run" / f"stream_grid3_t{si}.grid").read_bytes()
+            assert got == expected[f"grid_t{si}.grid"]
