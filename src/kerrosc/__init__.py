@@ -54,6 +54,7 @@ from .errors import (
     DriftTooLarge,
     EigSolverFailure,
     GammaOverflow,
+    ImaginaryResidue,
     IndexOutOfRange,
     IntegrationFailure,
     InvalidOrder,
@@ -62,6 +63,7 @@ from .errors import (
     KerrZero,
     LossZero,
     NegativeDiagonal,
+    NegativeHusimi,
     NonconvergenceWithinMaxTerms,
     NonpositiveKs,
     PoleAtNonpositiveInteger,

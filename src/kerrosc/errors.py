@@ -81,6 +81,14 @@ class NonpositiveKs(KerrOscError):
     """Gaussian closed form diverges: K_s <= 0 (nonclassical at this s)."""
 
 
+class NegativeHusimi(KerrOscError):
+    """A Husimi grid value lies below zero by more than round-off."""
+
+
+class ImaginaryResidue(KerrOscError):
+    """A quasidistribution grid kept an imaginary part beyond round-off."""
+
+
 # --- special functions / exact steady state ------------------------------
 
 class PoleAtNonpositiveInteger(KerrOscError):

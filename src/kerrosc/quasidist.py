@@ -51,7 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOrder, NonpositiveKs, SParamOutOfRange
+from .errors import (
+    ImaginaryResidue,
+    InvalidOrder,
+    NegativeHusimi,
+    NonpositiveKs,
+    SParamOutOfRange,
+)
 from .fock import DensityMatrix
 from .gaussian import GaussianState
 
@@ -82,7 +88,7 @@ class QuasiGrid:
                 f"(len(im_axis), len(re_axis)) = ({im.shape[0]}, {re.shape[0]})"
             )
         if self.s == -1.0 and float(np.min(vals)) < -1e-12:
-            raise ValueError(
+            raise NegativeHusimi(
                 f"Husimi values must be nonnegative, found {np.min(vals):.3e}"
             )
         for name, arr in (("re_axis", re), ("im_axis", im), ("values", vals)):
@@ -208,7 +214,7 @@ def quasidistribution(
         vals[:, points] = w.real / math.pi
     for j in range(count):
         if residue[j] > 1e-10 * max(scale[j], 1e-300):
-            raise ValueError(
+            raise ImaginaryResidue(
                 f"imaginary residue {residue[j]:.3e} exceeds 1e-10 of grid max "
                 f"{scale[j]:.3e}" + (f" (state {j})" if count > 1 else "")
             )

@@ -5,11 +5,21 @@ endings and 17-significant-digit floats, phase-space grids as header lines
 followed by row-major values, and an optional portable greymap rendering.
 Every file opens with a '#' header block echoing version, scenario name,
 parameters, cutoff, and tolerances.
+
+Every value of a grid file is `_FMT % v` byte for byte, but the grid text is
+made in one numpy pass (`_grid_text`): the 17 digits of every value come
+from a double-double product with an exact power of ten, and are laid out
+as `%g` does.  Values whose rounding that pass cannot be certain of (within
+1e-6 of a tie, |v| < 1e-290, |v| >= 1e16, nan, inf) go through `_FMT`
+itself, which stays the one statement of the format.  Each file is written
+with one write.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +105,156 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)},{_fmt(z.imag)}"
 
 
+# Grid text (`_grid_text`).  Each value becomes a 32-byte record, NUL where a
+# character is absent: byte 0 the sign, 1-5 the "0.000" lead of
+# 1e-4 <= |v| < 0.1, 6 the first digit, 7 the point, 8-23 the other 16
+# digits, 24-28 "e-XX", 31 the separator.  Dropping the NULs leaves the text.
+# Words are little-endian on any host.
+_TEXT_BLOCK = 4096  # values per block: the temporaries of one block stay in cache
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter of a double into 26-bit halves
+
+
+@lru_cache(maxsize=None)
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """The tables of `_grid_text`, built on first use:
+
+    - 10**k for k = 0..308 as a double-double hi + lo, from the exact
+      integer, with hi split in halves for the exact product;
+    - the four ASCII digits of each of 0..9999 as one uint32;
+    - for chunk j = 0..3 of the 16 digits after the first, the position of
+      its last nonzero digit among them (0 for a zero chunk);
+    - per layout class (exponent -4..16 of the fixed form, then the
+      exponent form) and significant digits 0..17, the first word of a
+      record (lead and point) and the masks of its two digit words;
+    - the exponent word "e-XX" for XX = 5..308 (0 for no exponent).
+    """
+    powers = np.empty((309, 4))
+    for k in range(309):
+        exact = 10**k
+        hi = float(exact)
+        mant, exp = math.frexp(hi)
+        t = _SPLIT * mant
+        mant_hi = t - (t - mant)
+        powers[k] = (
+            hi, float(exact - int(hi)), math.ldexp(mant_hi, exp),
+            math.ldexp(mant - mant_hi, exp),
+        )
+    chunk = np.arange(10000)
+    quad = (chunk[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    zeros = (chunk % 10 == 0).astype(int) + (chunk % 100 == 0) + (chunk % 1000 == 0)
+    last = np.where(chunk > 0, 4 * np.arange(1, 5)[:, None] - zeros, 0).astype(np.uint8)
+    words = []
+    for cls in range(22):
+        x = cls - 4 if cls < 21 else -5
+        before = x + 1 if x >= 0 else (0 if x >= -4 else 1)  # digits before the point
+        lead = b"0.000"[: 1 - x] if -4 <= x < 0 else b""
+        for nd in range(18):
+            shown = max(nd, before)
+            point = b"." if before == 1 and shown > 1 else b"\0"
+            digits = (b"\xff" * (shown - 1)).ljust(16, b"\0")
+            words.append(b"\0" + lead.ljust(6, b"\0") + point + digits)
+    layout = np.frombuffer(b"".join(words), "<u8").reshape(-1, 3).T.copy()
+    expo = b"".join((b"e-%02d" % x if x >= 5 else b"").ljust(8, b"\0") for x in range(309))
+    return powers, quad.view("<u4").ravel(), last, layout, np.frombuffer(expo, "<u8")
+
+
+def _scaled(
+    a: np.ndarray, k: np.ndarray, powers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of a * 10**k, for 1e-290 <= a < 1e16.
+
+    The product is a double-double (Dekker, Numer. Math. 18, 224 (1971)),
+    exact to about 1e-32 relative, so the fraction is good to about 1e-15
+    wherever the integer part has 17 digits.
+    """
+    hi, lo, hi_hi, hi_lo = powers.take(k, axis=0).T
+    p = a * hi
+    t = a * _SPLIT
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    s = p + err
+    rem = err - (s - p)
+    floor = np.floor(rem)
+    return s.astype(np.int64) + floor.astype(np.int64), rem - floor
+
+
+def _text_block(v: np.ndarray, sep: np.ndarray) -> bytes:
+    """`_FMT` text of the values `v`, each followed by its byte of `sep`."""
+    powers, quad, last, layout, expo = _text_tables()
+    a = np.abs(v)
+    direct = (a >= 1e-290) & (a < 1e16)
+    zero = a == 0.0
+    a[~direct] = 1.0  # keeps the arithmetic finite; `_FMT` formats these
+    # 17 digits are the integer part of |v| * 10**(16 - x) for x the decimal
+    # exponent; floor(log10) misses it by one next to a power of ten, which
+    # only the unrounded integer part shows
+    x = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, 16 - x, powers)
+    off = np.flatnonzero((whole < 10**16) | (whole >= 10**17))
+    if off.size:
+        x[off] += np.where(whole[off] < 10**16, -1, 1)
+        whole[off], frac[off] = _scaled(a[off], 16 - x[off], powers)
+    # within 1e-6 of a half the rounding is not certain
+    slow = np.flatnonzero((~direct & ~zero) | (np.abs(frac - 0.5) < 1e-6))
+    num = whole + (frac > 0.5)
+    carry = num == 10**17
+    num[carry] = 10**16
+    x += carry
+    num[zero] = 0
+    x[zero] = 0
+    # the digits: the first one, then four chunks of four (`//` by a
+    # constant is far cheaper than `%` in numpy)
+    first = num // 10**16
+    rest = num - first * 10**16
+    top = rest // 10**8
+    bottom = rest - top * 10**8
+    top_hi, bottom_hi = top // 10**4, bottom // 10**4
+    chunks = (top_hi, top - top_hi * 10**4, bottom_hi, bottom - bottom_hi * 10**4)
+    nd = 1 + np.maximum(
+        np.maximum(last[0][chunks[0]], last[1][chunks[1]]),
+        np.maximum(last[2][chunks[2]], last[3][chunks[3]]),
+    )
+    exponent_form = x < -4
+    idx = np.where(exponent_form, 21, x + 4) * 18 + nd
+    rec = np.empty((v.shape[0], 4), "<u8")
+    chars = rec.view(np.uint8)
+    rec[:, 0] = layout[0][idx]
+    chars[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    chars[:, 6] = first + ord("0")
+    for j, c in enumerate(chunks):
+        rec.view("<u4")[:, 2 + j] = quad[c]
+    rec[:, 1] &= layout[1][idx]
+    rec[:, 2] &= layout[2][idx]
+    rec[:, 3] = expo[np.where(exponent_form, -x, 0)] | sep
+    # 10 <= |v| < 1e16 with a fraction: the point follows digit x + 1
+    shift = np.flatnonzero((x >= 1) & (nd > x + 1))
+    if shift.size:
+        for p in np.unique(x[shift] + 1):
+            rows = shift[x[shift] == p - 1]
+            chars[rows, 7 : 6 + p] = chars[rows, 8 : 7 + p]
+            chars[rows, 6 + p] = ord(".")
+    for i in slow:
+        token = (_FMT % float(v[i])).encode("ascii")
+        chars[i, :31] = 0
+        chars[i, : len(token)] = np.frombuffer(token, np.uint8)
+    return rec.tobytes().translate(None, b"\0")
+
+
+def _grid_text(values: np.ndarray) -> bytes:
+    """The rows of `values` as `_FMT` text: values joined by spaces, each row
+    ended by LF, byte for byte what `_FMT % v` gives for each value v."""
+    cols = values.shape[1]
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    step = max(1, _TEXT_BLOCK // cols) * cols  # whole rows per block
+    sep = np.full(min(step, flat.size), ord(" ") << 56, "<u8")  # byte 31
+    sep[cols - 1 :: cols] = ord("\n") << 56
+    return b"".join(
+        _text_block(flat[i : i + step], sep[: flat.size - i])
+        for i in range(0, flat.size, step)
+    )
+
+
 def _header_lines(name: str, params: OscillatorParams, n_cut: int) -> list[str]:
     return [
         f"# kerrosc {__version__}",
@@ -106,10 +266,12 @@ def _header_lines(name: str, params: OscillatorParams, n_cut: int) -> list[str]:
     ]
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
+def _write_text(path: Path, lines: list[str], body: bytes = b"") -> None:
+    """Write ASCII `lines`, each ended by LF, then `body` as it is."""
+    text = ("\n".join(lines) + "\n").encode("ascii") + body
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -352,10 +514,7 @@ def _write_grid_file(
         f"{grid.im_axis.shape[0]}"
     )
     lines.append(f"# time: {time_label}")
-    row_fmt = " ".join([_FMT] * values.shape[1])
-    for row in values:
-        lines.append(row_fmt % tuple(row.tolist()))
-    _write_text(path, lines)
+    _write_text(path, lines, _grid_text(values))
 
 
 def _write_grids(

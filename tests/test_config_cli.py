@@ -17,6 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kerrosc
 import kerrosc.runner
@@ -39,6 +42,7 @@ from kerrosc.quasidist import QuasiGrid
 from kerrosc.steady import steady_density
 from kerrosc.runner import (
     RunReport,
+    _grid_text,
     _write_grid_file,
     render_grid,
     run_scenario,
@@ -462,23 +466,68 @@ class TestRunScenario:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_grid_rows_match_per_value_format(self, tmp_path):
-        values = np.array(
-            [
-                [-0.0, 5e-324, 1e300, -1e-17],
-                [0.1, -2.5, 1.0 / 3.0, 123456.789],
-                [0.0, -1e-300, 2.0 / math.pi, 7.0],
-            ]
-        )
+        def around(x):
+            return [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+
+        cut = 1e-290  # below it the grid text falls back to per-value formatting
+        values = [
+            -0.0, 0.0, 5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0),
+            1e300, -1e-17, 0.1, -2.5, 1.0 / 3.0, 123456.789, -1e-300,
+            2.0 / math.pi, 7.0, 10.5, -99.99, 1234567890123456.7,
+            math.nan, math.inf, -math.inf,
+        ]
+        values += around(cut) + [-v for v in around(cut)]
+        for x in (1e-5, 1e-4, 1e16, 1e17):  # where %g changes form
+            values += around(x) + [-v for v in around(x)]
+        for k in range(1, 309):
+            values += around(float(f"1e-{k}"))
+        for k in range(17):
+            values += around(float(f"1e{k}"))
+        for j in range(81):
+            values += [m * 2.0**-j for m in (1, 3, 5, 2**53 - 1)]
+        cols = 7
+        values = np.array(values + [0.0] * (-len(values) % cols)).reshape(-1, cols)
         grid = QuasiGrid(
             s=0.0,
-            re_axis=np.linspace(-1.0, 1.0, 4),
-            im_axis=np.linspace(-1.0, 1.0, 3),
+            re_axis=np.linspace(-1.0, 1.0, cols),
+            im_axis=np.linspace(-1.0, 1.0, values.shape[0]),
             values=values,
         )
         path = tmp_path / "rows.grid"
         _write_grid_file(path, ["# header"], grid, grid.values, "0")
-        body = path.read_text().splitlines()[-3:]
-        assert body == [" ".join("%.17g" % (v,) for v in row) for row in values]
+        body = path.read_text().splitlines()[5:]
+        assert body == [" ".join("%.17g" % (v,) for v in row) for row in values.tolist()]
+
+    @settings(max_examples=200)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 9)),
+            elements=st.floats() | st.floats(-1.0, 1.0),
+        )
+    )
+    def test_grid_text_is_the_per_value_format(self, values):
+        body = _grid_text(values).decode("ascii")
+        assert body == "".join(
+            " ".join("%.17g" % (v,) for v in row) + "\n" for row in values.tolist()
+        )
+        back = np.array([float(token) for token in body.split()])
+        flat = values.ravel()
+        nan = np.isnan(flat)
+        np.testing.assert_array_equal(np.isnan(back), nan)
+        np.testing.assert_array_equal(back[~nan].view(np.int64), flat[~nan].view(np.int64))
+
+    def test_failed_grid_write_is_an_io_error(self, tmp_path, capsys):
+        # a directory in the grid file's place: the write fails even as root
+        path = tmp_path / "s.yaml"
+        path.write_text(GOOD_YAML)
+        out = tmp_path / "out"
+        (out / "smoke_grid2_t0.grid").mkdir(parents=True)
+        with pytest.raises(IoError, match="smoke_grid2_t0.grid"):
+            run_scenario(good_config(), out)
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: cannot write") and err.count("\n") == 1
 
 
 UNPUMPED_YAML = """

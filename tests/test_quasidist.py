@@ -10,13 +10,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.special
 
 from conftest import random_density
-from kerrosc.errors import InvalidOrder, NonpositiveKs, SParamOutOfRange
+from kerrosc.errors import (
+    ImaginaryResidue,
+    InvalidOrder,
+    KerrOscError,
+    NegativeHusimi,
+    NonpositiveKs,
+    SParamOutOfRange,
+)
 from kerrosc.fock import (
     DensityMatrix,
     FockCutoff,
@@ -388,8 +396,28 @@ class TestQuasiGridValidation:
     def test_husimi_negativity_guard(self):
         vals = np.zeros((5, 5))
         vals[0, 0] = -1e-6
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeHusimi):
             QuasiGrid(s=-1.0, re_axis=small_axis, im_axis=small_axis, values=vals)
+
+    def test_negative_husimi_of_an_accepted_state_is_typed(self):
+        # (1+e)|3><3| - e|-3><-3| passes the -1e-9 eigenvalue floor of
+        # DensityMatrix, yet its Husimi value at beta = -3 is about -e/pi
+        eps = 5e-10
+        cutoff = FockCutoff(45)
+        plus = density_from_pure(coherent_state(3.0, cutoff)).elements
+        minus = density_from_pure(coherent_state(-3.0, cutoff)).elements
+        rho = DensityMatrix((1.0 + eps) * plus - eps * minus)
+        assert rho.spectrum[0] < -1e-10
+        axis = np.linspace(-4.5, 4.5, 121)
+        with pytest.raises(NegativeHusimi, match="nonnegative") as info:
+            quasidistribution(rho, -1.0, axis, axis)
+        assert isinstance(info.value, KerrOscError)
+
+    def test_imaginary_residue_is_typed(self):
+        # a stand-in with a skew part far beyond what DensityMatrix admits
+        skewed = SimpleNamespace(dim=2, elements=np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+        with pytest.raises(ImaginaryResidue):
+            quasidistribution([skewed], 0.0, small_axis, small_axis)
 
     def test_values_read_only(self):
         grid = QuasiGrid(
