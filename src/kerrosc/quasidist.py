@@ -1,7 +1,7 @@
 """s-parametrized quasidistributions on phase-space grids.
 
-W^{(s)}(beta) = (1/pi) Tr[rho T^{(s)}(beta)] is assembled from the
-number-basis matrix elements of the operator T^{(s)}; for m >= n
+W^{(s)}(beta) = (1/pi) Tr[rho T^{(s)}(beta)]; for m >= n the number-basis
+matrix elements of T^{(s)} are
 
     <n|T^{(s)}(beta)|m> = sqrt(n!/m!) (2/(1-s))^{m-n+1} ((s+1)/(s-1))^n
                           (beta*)^{m-n} e^{-2|beta|^2/(1-s)}
@@ -9,31 +9,44 @@ number-basis matrix elements of the operator T^{(s)}; for m >= n
 
 with the m < n elements given by Hermitian conjugation and the s = -1
 (Husimi) limit by the exact coherent-projector form
-e^{-|beta|^2} beta^n (beta*)^m / sqrt(n! m!).  The Laguerre factor is
-accumulated pre-multiplied by ((s+1)/(s-1))^n so every intermediate stays
-bounded even as s -> -1.
+e^{-|beta|^2} beta^n (beta*)^m / sqrt(n! m!).  `cg_matrix_element` evaluates
+one element this way; its Laguerre factor is accumulated pre-multiplied by
+((s+1)/(s-1))^n so every intermediate stays bounded even as s -> -1.
 
-Grids are evaluated as matrix products, for a batch of R states on one grid
-in one pass: every table that depends only on (s, axes, dim) is built once
-and contracted with all R states together.  The Husimi grid is
-Q = e^{-|beta|^2} v^H rho v with the coherent-vector table
-v_m(beta) = beta^m / sqrt(m!), built once per block of 1024 points and
-contracted with the stacked states in (R*dim, dim) @ (dim, 1024 // R)
-products, so no product holds more values than one state's.  For s > -1
-the k-th diagonal band of rho contributes e^{-2|beta|^2/(1-s)}
-[(beta*)^k A_k + beta^k B_k], where A_k and B_k are sums over n of the
-prefactor-weighted sub- and superdiagonal of rho against the scaled
-Laguerre factors.  Those factors depend on beta only through |beta|^2, so
-they are tabulated once per distinct |beta|^2 on the grid (a symmetric grid
-repeats each value up to eight times), and the sums of all R states are one
-(U, size) @ (size, 4R) product with that table.  The points are swept in
-R blocks in order of |beta|^2, so each block needs only a slice of the
-table and the batch's accumulators hold as many values as one grid's; each
-block's values and imaginary residue are written out before the next one
-starts.  The sub- and superdiagonal sums stay separate so the imaginary
-residue of each grid still measures round-off.  A state's grid does not
-depend on the batch it is in: the s > -1 values are bitwise the same, the
-Husimi ones agree to round-off.
+Grids are evaluated in a Hermite-Gaussian basis of the quadratures
+X = 2 Re beta and Y = 2 Im beta, in which every order s is the same kernel:
+
+* At s = 0, <n|T^{(0)}|m> / pi is 2/sqrt(pi) times the wave function of the
+  two-mode state P_+^n P_-^m / sqrt(n! m!) |0,0>, a Laguerre-Gaussian mode,
+  with P_+- = (A_X^dag +- i A_Y^dag) / sqrt(2) (Beijersbergen et al.,
+  Opt. Commun. 96, 123 (1993)).  That state lies in the level a + b = m + n
+  of the product states |a, b>, whose wave functions are h_a(X) h_b(Y) with
+  the Hermite functions h_a, and its component along |a, b> is i^b times a
+  real number.
+* Any order s < 1 is the s = 0 function smoothed by a Gaussian of variance
+  t = -s in X and in Y separately (Cahill & Glauber, Phys. Rev. 177, 1882
+  (1969); for s > 0 the smoothing is inverted).  It takes h_a to phi_a with
+
+      phi_0(X) = (1+t)^{-1/2} pi^{-1/4} e^{-X^2/(2(1+t))},
+      phi_{a+1} = sqrt(2/(a+1)) X/(1+t) phi_a - q sqrt(a/(a+1)) phi_{a-1},
+      q = (1-t)/(1+t).
+
+  At s = -1, q = 0 and the rows are Gaussian-weighted monomials, so the
+  recurrence stays bounded there.
+
+So W^{(s)}(beta) = sum_ab K_ab phi_a(X) phi_b(Y), where K is the
+(2 dim - 1)^2 matrix of components of 2/sqrt(pi) sum_mn rho_mn
+P_+^n P_-^m / sqrt(n! m!) |0,0>, and a grid is Phi_im^T K^T Phi_re with one
+(2 dim - 1, points) table Phi per axis.  The two-mode states of one level
+N = m + n are built from those of level N - 1 with the symmetric recurrence
+N |n, m> = sqrt(n) P_+ |n-1, m> + sqrt(m) P_- |n, m-1>, and each level is
+contracted with the anti-diagonal m + n = N of every state as soon as it
+is built.  The coefficients are kept packed by level, and each state's K is
+unpacked only for its own products.  The cost per state is O(dim^3) plus its products with the two
+tables.  Every product takes one state at a time with the same shapes, so
+a state's grid does not depend on the batch it is in.  For a Hermitian state K is real; its imaginary part is carried
+through the same products into the imaginary residue of each grid, which
+measures round-off.
 
 Gaussian states admit the closed form
 
@@ -62,7 +75,6 @@ from .fock import DensityMatrix
 from .gaussian import GaussianState
 
 _S_MAX = 1.0 - 1e-9  # largest ordering parameter s; `config` validates against it too
-_BLOCK = 1024  # grid points per coherent-vector table (Husimi branch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +113,8 @@ def _checked_axis(name: str, axis: np.ndarray) -> np.ndarray:
     arr = np.array(axis, dtype=float, copy=True)
     if arr.ndim != 1 or arr.shape[0] < 2:
         raise ValueError(f"{name} must be 1-d with at least two points")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     steps = np.diff(arr)
     if np.min(steps) <= 0:
         raise ValueError(f"{name} must be strictly increasing")
@@ -135,26 +149,6 @@ def associated_laguerre(n: int, k: int, x):
     return cur
 
 
-def _scaled_laguerre_rows(out: np.ndarray, k: int, c: float, cx: np.ndarray) -> None:
-    """Fill out[n] with M_n = c^n L_n^k(x) for n = 0..len(out)-1 given cx = c*x.
-
-    The recurrence is written entirely in terms of c and cx, which stay
-    bounded as s -> -1 where c -> 0 and x -> infinity.  Each row is built
-    in place from the two before it.
-    """
-    out[0] = 1.0
-    if out.shape[0] > 1:
-        np.subtract((k + 1) * c, cx, out=out[1])
-    scratch = np.empty_like(cx)
-    for i in range(1, out.shape[0] - 1):
-        row = out[i + 1]
-        np.subtract((2 * i + k + 1) * c, cx, out=row)
-        row *= out[i]
-        np.multiply(out[i - 1], c * c * (i + k), out=scratch)
-        row -= scratch
-        row /= i + 1
-
-
 def cg_matrix_element(n: int, m: int, beta: complex, s: float) -> complex:
     """Number-basis matrix element <n|T^{(s)}(beta)|m>."""
     if n < 0 or m < 0:
@@ -170,7 +164,8 @@ def cg_matrix_element(n: int, m: int, beta: complex, s: float) -> complex:
         return math.exp(-b2 + log_pref) * beta**n * np.conj(beta) ** m
     c = (s + 1.0) / (s - 1.0)
     cx = -4.0 * b2 / (1.0 - s) ** 2
-    scaled, prev = 1.0, 0.0  # the recurrence of _scaled_laguerre_rows, in scalars
+    # c^n L_n^k(x) by upward recurrence in n, written in c and cx = c x alone
+    scaled, prev = 1.0, 0.0
     for i in range(n):
         scaled, prev = (
             ((2 * i + k + 1) * c - cx) * scaled - c * c * (i + k) * prev
@@ -203,126 +198,98 @@ def quasidistribution(
     if any(state.dim != dim for state in states):
         raise ValueError("all states of a batch must have one dimension")
     count = len(states)
-    r = np.stack([state.elements for state in states])
-    vals = np.empty((count, im.shape[0] * re.shape[0]))
-    scale = np.zeros(count)
-    residue = np.zeros(count)
-    blocks = _husimi_blocks(r, re, im) if s == -1.0 else _band_blocks(r, re, im, s)
-    for points, w in blocks:
-        np.maximum(scale, np.max(np.abs(w.real), axis=1), out=scale)
-        np.maximum(residue, np.max(np.abs(w.imag), axis=1), out=residue)
-        vals[:, points] = w.real / math.pi
+    size = 2 * dim - 1
+    coeffs = _hermite_coefficients(np.stack([state.elements for state in states]))
+    # each packed coefficient of level N goes to row b and column N - b of K^T
+    level = np.repeat(np.arange(size), np.arange(1, size + 1))
+    row = np.arange(level.shape[0]) - level * (level + 1) // 2
+    col = level - row
+    kt = np.zeros((2, size, size))  # the real part of K^T over its imaginary part
+    table = _smoothed_hermite_rows(2.0 * np.concatenate((re, im)), -s, size)
+    phi_re, phi_im = table[:, : re.shape[0]], table[:, re.shape[0] :].T
+    vals = np.empty((count, im.shape[0], re.shape[0]))
+    residue = np.empty((im.shape[0], re.shape[0]))
     for j in range(count):
-        if residue[j] > 1e-10 * max(scale[j], 1e-300):
+        kt[:, row, col] = coeffs[j]
+        # K^T Phi_re for the real and the imaginary part of K in one product
+        half = kt.reshape(2 * size, size) @ phi_re
+        np.matmul(phi_im, half[:size], out=vals[j])
+        np.matmul(phi_im, half[size:], out=residue)
+        scale, imag = float(np.max(np.abs(vals[j]))), float(np.max(np.abs(residue)))
+        if imag > 1e-10 * max(scale, 1e-300):
             raise ImaginaryResidue(
-                f"imaginary residue {residue[j]:.3e} exceeds 1e-10 of grid max "
-                f"{scale[j]:.3e}" + (f" (state {j})" if count > 1 else "")
+                f"imaginary residue {imag:.3e} exceeds 1e-10 of grid max "
+                f"{scale:.3e}" + (f" (state {j})" if count > 1 else "")
             )
+    del coeffs  # not held while QuasiGrid copies the values
     if s == -1.0:
         vals[(vals < 0.0) & (vals > -1e-12)] = 0.0
-    shape = (im.shape[0], re.shape[0])
-    vals = vals.reshape(shape if count == 1 else (count,) + shape)
-    return QuasiGrid(s=s, re_axis=re, im_axis=im, values=vals)
+    return QuasiGrid(s=s, re_axis=re, im_axis=im, values=vals[0] if count == 1 else vals)
 
 
-def _husimi_blocks(r: np.ndarray, re: np.ndarray, im: np.ndarray):
-    # <beta|rho|beta> = e^{-|beta|^2} v^H rho v with unnormalized coherent
-    # vectors v_m = beta^m/sqrt(m!), contracted with all states at once
+def _smoothed_hermite_rows(x: np.ndarray, t: float, count: int) -> np.ndarray:
+    """Rows phi_a(x), a < count: Hermite functions smoothed by a Gaussian of variance t."""
+    out = np.empty((count, x.shape[0]))
+    width = 1.0 + t
+    q = (1.0 - t) / width
+    u = x / width
+    np.multiply(x, -0.5 * u, out=out[0])
+    np.exp(out[0], out=out[0])
+    out[0] *= math.pi**-0.25 / math.sqrt(width)
+    np.multiply(u, math.sqrt(2.0) * out[0], out=out[1])
+    scratch = np.empty_like(x)
+    for a in range(1, count - 1):
+        row = out[a + 1]
+        np.multiply(u, out[a], out=row)
+        row *= math.sqrt(2.0 / (a + 1))
+        np.multiply(out[a - 1], q * math.sqrt(a / (a + 1)), out=scratch)
+        row -= scratch
+    return out
+
+
+def _hermite_coefficients(r: np.ndarray) -> np.ndarray:
+    """The coefficients K of each of the (R, dim, dim) states r, packed by level.
+
+    out[j, 0, N (N + 1) / 2 + b] + 1j * out[j, 1, N (N + 1) / 2 + b] is the
+    coefficient of h_{N-b}(X) h_b(Y) in 2/sqrt(pi) sum_mn r[j, m, n] |n, m>,
+    where |n, m> = P_+^n P_-^m / sqrt(n! m!) |0,0>, for N < 2 dim - 1.
+    """
     count, dim = r.shape[0], r.shape[1]
-    beta = (re[None, :] + 1j * im[:, None]).ravel()
-    stacked = r.reshape(count * dim, dim)
-    step = max(1, _BLOCK // count)
-    table = np.empty((dim, min(_BLOCK, beta.shape[0])), dtype=complex)
-    for block in range(0, beta.shape[0], _BLOCK):
-        b = beta[block : block + _BLOCK]
-        v = table[:, : b.shape[0]]
-        v[0] = 1.0
-        for mm in range(1, dim):
-            np.multiply(v[mm - 1], b, out=v[mm])
-            v[mm] /= math.sqrt(mm)
-        for start in range(0, b.shape[0], step):
-            vs = v[:, start : start + step]
-            rv = (stacked @ vs).reshape(count, dim, vs.shape[1])
-            quad = np.einsum("ig,rig->rg", np.conj(vs), rv)
-            del rv  # not held while the next product is built
-            points = slice(block + start, block + start + vs.shape[1])
-            yield points, quad * np.exp(-np.abs(b[start : start + step]) ** 2)
-
-
-def _band_blocks(r: np.ndarray, re: np.ndarray, im: np.ndarray, s: float):
-    # The k-th diagonal contributes e^{-2|beta|^2/(1-s)} times
-    #   (beta*)^k sum_n pref_n rho_{n+k,n} M_n^k + beta^k sum_n pref_n rho_{n,n+k} M_n^k
-    # with M_n^k real and a function of |beta|^2 alone.  Points are taken in
-    # order of |beta|^2, so a block's distinct values are one slice of the
-    # sorted distinct ones.
-    count, dim = r.shape[0], r.shape[1]
-    beta = (re[None, :] + 1j * im[:, None]).ravel()
-    b2_points = np.abs(beta) ** 2
-    order = np.argsort(b2_points, kind="stable")
-    conj_beta = np.conj(beta[order])
-    b2, inv = np.unique(b2_points[order], return_inverse=True)
-    del beta, b2_points
-    c = (s + 1.0) / (s - 1.0)
-    cx = -4.0 * b2 / (1.0 - s) ** 2
-    gauss = np.exp(-2.0 * b2 / (1.0 - s))
-    log2f = math.log(2.0 / (1.0 - s))
-    lgam = np.array([math.lgamma(i + 1) for i in range(dim)])
-    # per band, the prefactor-weighted subdiagonals of all states, then their
-    # conjugated superdiagonals: a real (size, 4R) view of (size, 2R) values
-    bands = []
-    for k in range(dim):
-        size = dim - k
-        pref = np.exp(0.5 * (lgam[:size] - lgam[k:]) + (k + 1) * log2f)
-        band = np.empty((size, 2 * count), dtype=complex)
-        band[:, :count] = np.diagonal(r, -k, axis1=1, axis2=2).T
-        band[:, count:] = np.conj(np.diagonal(r, k, axis1=1, axis2=2)).T
-        band *= pref[:, None]
-        bands.append(band.view(float))
-    # R blocks, so the batch's accumulators hold as many values as one
-    # grid's; the block buffers are allocated once, for the longest block
-    # and the widest span of distinct values
-    total = order.shape[0]
-    step = -(-total // count)
-    starts = range(0, total, step)
-    spans = []  # the slice of distinct |beta|^2 values each block needs
-    for start in starts:
-        lo, hi = int(inv[start]), int(inv[min(start + step, total) - 1]) + 1
-        if hi - lo == 1 and b2.shape[0] > 1:
-            # a one-row product would go through a matrix-vector kernel that
-            # rounds differently, so take a neighbouring value along
-            lo = min(lo, b2.shape[0] - 2)
-            hi = lo + 2
-        spans.append((lo, hi))
-    lag_buf = np.empty((dim, max(hi - lo for lo, hi in spans)))
-    # acc[0]: the subdiagonal terms of each state, acc[1]: the complex
-    # conjugate of its superdiagonal ones
-    acc_buf = np.empty((2, count, step), dtype=complex)
-    term_buf = np.empty((count, step), dtype=complex)
-    for start, (lo, hi) in zip(starts, spans):
-        stop = min(start + step, total)
-        local = inv[start:stop]
-        local -= lo
-        power = gauss[lo:hi][local].astype(complex)
-        lag = lag_buf[:, : hi - lo]
-        acc = acc_buf[:, :, : stop - start]
-        term = term_buf[:, : stop - start]
-        acc.fill(0.0)
-        for k in range(dim):
-            size = dim - k
-            _scaled_laguerre_rows(lag[:size], k, c, cx[lo:hi])
-            # one real (U, size) @ (size, 4R) product, read back as (U, 2R) complex
-            sums = (lag[:size].T @ bands[k]).view(complex)
-            if k:  # the main diagonal has no separate superdiagonal
-                power *= conj_beta[start:stop]
-                np.take(sums[:, count:].T, local, axis=1, out=term)
-                term *= power
-                acc[1] += term
-            np.take(sums[:, :count].T, local, axis=1, out=term)
-            term *= power
-            acc[0] += term
-        np.conjugate(acc[1], out=acc[1])
-        acc[0] += acc[1]
-        yield order[start:stop], acc[0]
+    size = 2 * dim - 1
+    out = np.empty((count, 2, size * (size + 1) // 2))
+    root = np.sqrt(np.arange(size))
+    # i^b, with the normalization 2/sqrt(pi) of the s = 0 function
+    phase = (2.0 / math.sqrt(math.pi)) * np.array([1.0, 1j, -1.0, -1j])[np.arange(size) % 4]
+    # vectors[1 + n - lo, a]: the real factor of the component of |n, N - n> along
+    # |a, N - a>, for n = lo..hi, between one zero row above and one below
+    vectors = np.array([[0.0], [1.0], [0.0]])
+    lo = 0
+    for total in range(size):
+        new_lo, hi = max(0, total - dim + 1), min(total, dim - 1)
+        n = np.arange(new_lo, hi + 1)
+        if total:
+            # sqrt(2) P_+- w = shifted + straight or shifted - straight, with
+            # shifted[a] = sqrt(a) w[a-1] and straight[a] = sqrt(total - a) w[a]
+            shifted = np.zeros((vectors.shape[0], total + 1))
+            np.multiply(vectors, root[1 : total + 1], out=shifted[:, 1:])
+            straight = np.zeros_like(shifted)
+            np.multiply(vectors, root[total:0:-1], out=straight[:, :-1])
+            plus, minus = shifted + straight, shifted - straight
+            first = new_lo - lo  # the row of |n - 1, total - n> for n = new_lo
+            weight = total * math.sqrt(2.0)
+            vectors = np.zeros((n.shape[0] + 2, total + 1))
+            inner = vectors[1:-1]
+            np.multiply(plus[first : first + n.shape[0]], (root[n] / weight)[:, None], out=inner)
+            inner += minus[first + 1 : first + 1 + n.shape[0]] * (root[total - n] / weight)[:, None]
+            lo = new_lo
+        anti = np.ascontiguousarray(r[:, total - n, n]).view(float).reshape(count, -1, 2)
+        # one (total + 1, rows) @ (rows, 2) product per state, whatever the batch
+        sums = np.matmul(vectors[1:-1].T, anti).view(complex)[..., 0]
+        terms = sums[:, ::-1] * phase[: total + 1]  # b = 0..total
+        start = total * (total + 1) // 2
+        out[:, 0, start : start + total + 1] = terms.real
+        out[:, 1, start : start + total + 1] = terms.imag
+    return out
 
 
 def gaussian_quasidistribution(

@@ -1,9 +1,11 @@
 """Phase-space quasidistributions against closed forms and brute-force sums.
 
 Laguerre polynomials are checked against their explicit finite sums and
-scipy; the grid evaluator against an element-by-element double sum over the
-single-element routine; coherent and thermal states against the Gaussian
-closed form; and the Husimi branch against direct coherent-state sandwiches.
+scipy; the grid evaluator against the single-element routine, both as a
+double sum over all elements and one element at a time; coherent and
+thermal states against the Gaussian closed form; and Husimi grids against direct
+coherent-state sandwiches.  A numeric RuntimeWarning (overflow, invalid
+value) fails a test.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from kerrosc.quasidist import (
     gaussian_quasidistribution,
     quasidistribution,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def laguerre_finite_sum(n: int, k: int, x: float) -> float:
@@ -243,8 +247,8 @@ class TestQuasidistributionGrid:
 
     @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0])
     def test_sub_grid_matches_full_grid(self, rng, s):
-        # the sub-grid shares no symmetry with the full one, so the distinct
-        # |beta|^2 values (and the Husimi blocks) differ between the two calls
+        # the sub-grid shares no symmetry with the full one, and its tables
+        # cover other points
         rho = random_density(rng, dim=30)
         re = np.linspace(-3.0, 3.0, 41)
         im = np.linspace(-3.0, 3.0, 41)
@@ -255,8 +259,7 @@ class TestQuasidistributionGrid:
         )
 
     def test_husimi_partial_block_is_coherent_expectation(self, rng):
-        # 33 x 37 = 1221 points: one full block of coherent vectors and a
-        # partial one
+        # 33 x 37 = 1221 points on an asymmetric grid
         dim = 20
         rho = random_density(rng, dim=dim)
         re = np.linspace(-2.5, 2.0, 37)
@@ -295,6 +298,46 @@ class TestQuasidistributionGrid:
             quasidistribution(rho, -1.2, small_axis, small_axis)
 
 
+class TestSingleElementGrids:
+    # The grid of each element |m><n| against cg_matrix_element.  The states
+    # are the projectors on |m> + e^{i theta}|n> for theta = 0 and pi/2, so
+    # that Husimi grids stay nonnegative; their grids are
+    # (<m|T|m> + <n|T|n> + 2 Re(e^{-i theta} <n|T|m>)) / pi.  The grid is
+    # off-centre and asymmetric, and reaches |beta| = 7.
+    RE = np.linspace(-2.5, 5.0, 11)
+    IM = np.linspace(-1.0, 4.9, 9)
+
+    @pytest.mark.parametrize("s", [-1.0, -0.999, -0.5, 0.0, 0.5])
+    @pytest.mark.parametrize(
+        "dim, levels", [(12, tuple(range(12))), (101, (0, 1, 50, 99, 100))]
+    )
+    def test_matches_cg_matrix_element(self, s, dim, levels):
+        pairs = [(m, n) for m in levels for n in levels if m <= n]
+        phases = (1.0, 1j)
+        states = []
+        for m, n in pairs:
+            for phase in phases:
+                v = np.zeros(dim, dtype=complex)
+                v[m] += 1.0
+                v[n] += phase
+                states.append(SimpleNamespace(dim=dim, elements=np.outer(v, np.conj(v))))
+        grids = quasidistribution(states, s, self.RE, self.IM).values
+        element = {
+            (m, n): np.array(
+                [[cg_matrix_element(n, m, complex(x, y), s) for x in self.RE] for y in self.IM]
+            )
+            for m, n in pairs
+        }
+        for k, (m, n) in enumerate(pairs):
+            for phase, got in zip(phases, grids[2 * k : 2 * k + 2]):
+                diagonal = element[m, m].real + element[n, n].real
+                want = (diagonal + 2.0 * (np.conj(phase) * element[m, n]).real) / math.pi
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(got))))
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0, atol=tol, err_msg=f"m = {m}, n = {n}, phase {phase}"
+                )
+
+
 def batch_states(rng, dim: int) -> list[DensityMatrix]:
     """Mixed and pure states of one dimension, for the batched evaluations."""
     cutoff = FockCutoff(dim - 1)
@@ -324,11 +367,7 @@ class TestBatchedGrid:
         assert batch.values.size == len(states) * re.shape[0] * im.shape[0]
         for j, state in enumerate(states):
             single = quasidistribution(state, s, re, im).values
-            if s > -1.0:
-                np.testing.assert_array_equal(batch.values[j], single)
-            else:
-                tol = 1e-15 * float(np.max(np.abs(single)))
-                np.testing.assert_allclose(batch.values[j], single, rtol=0.0, atol=tol)
+            np.testing.assert_array_equal(batch.values[j], single)
 
     @pytest.mark.parametrize("s", [-1.0, 0.0])
     def test_batch_of_one_is_a_plain_grid(self, rng, s):
@@ -342,7 +381,7 @@ class TestBatchedGrid:
         np.testing.assert_array_equal(batch.values, single.values)
 
     def test_more_states_than_points(self, rng):
-        # one point per block, where a one-row product would round differently
+        # more grids than points per grid
         states = [random_density(rng, dim=5) for _ in range(11)]
         axis = np.linspace(-1.0, 1.0, 3)
         batch = quasidistribution(states, 0.0, axis, axis)
@@ -392,6 +431,19 @@ class TestQuasiGridValidation:
                 im_axis=small_axis,
                 values=np.zeros((5, 2)),
             )
+
+    @pytest.mark.parametrize(
+        "axis", [[0.0, np.nan, 1.0], [-np.inf, 0.0, np.inf], [0.0, 1.0, np.inf]]
+    )
+    def test_nonfinite_axis(self, axis):
+        rho = density_from_pure(fock_state(0, FockCutoff(4)))
+        gs = GaussianState(alpha=0.0j, B=0.5, C=0.0j)
+        with pytest.raises(ValueError, match="finite"):
+            quasidistribution(rho, 0.0, axis, small_axis)
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_quasidistribution(gs, 0.0, small_axis, axis)
+        with pytest.raises(ValueError, match="finite"):
+            QuasiGrid(s=0.0, re_axis=axis, im_axis=small_axis, values=np.zeros((5, 3)))
 
     def test_husimi_negativity_guard(self):
         vals = np.zeros((5, 5))
