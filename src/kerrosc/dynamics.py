@@ -5,7 +5,7 @@ The full quantum evolution integrates the zero-temperature master equation
     d rho / dt = -i [H, rho] + gamma0 (2 a rho a^dag - a^dag a rho - rho a^dag a),
     H = i (p a^dag - p* a) + G a^dag^2 a^2,
 
-with an adaptive fifth-order Krylov stepper on the truncated density matrix,
+with an adaptive ninth-order Krylov stepper on the truncated density matrix,
 hermitizing and renormalizing after every accepted step.  H is
 tridiagonal and a bidiagonal in the Fock basis, so the right-hand side is a
 stencil on the flattened rho, flat index m*dim + n: a diagonal factor plus five
@@ -16,20 +16,22 @@ would wrap into the next row.  There are no dense matrix products.
 The master equation is linear and autonomous, d rho/dt = L rho, so an explicit
 Runge-Kutta step of size h is a polynomial in hL (Hairer, Norsett & Wanner,
 Solving ODEs I, II.6 and IV.2).  `evolve` builds its step directly as one:
-p(z) = sum_{j<=5} z^j/j! + c6 z^6 + c7 z^7, fifth order and degree 7, with
-c6 = 9e-4 and c7 = 1.25e-4 chosen for a large stability region next to the
-imaginary axis, where the Kerr frequencies put the spectrum of L.  Its stable
-radius is 5.38 along the ray of the bundled point's extreme eigenvalue
-(96.5 degrees) against 2.73 for the Dormand-Prince 5(4) step, and larger than
-DP5's on every ray from 91 to 180 degrees, so the step size that stability
-allows is about twice DP5's.  Per accepted step the chain v_j = L^j y, j = 0..8,
-costs seven RHS calls (v_1 is the previous step's first-same-as-last
-derivative); the new state sum_j c_j h^j v_j, the error vector and the next
-derivative L y_new are one weighted sum over the chain.  The error vector is
-p(hL) y minus DP5's embedded 4th-order solution, whose weights start at h^5,
-and it is measured in the max norm over entries, so the tolerance binds on
-every populated entry whatever the cutoff.  A rejected step re-weights the
-same chain with the smaller h and calls no RHS.  Output samples never cut a
+p(z) = sum_{j<=9} z^j/j! + c10 z^10 + ... + c13 z^13, ninth order and
+degree 13, with c10..c13 chosen for a large stability region next to the
+imaginary axis, where the Kerr frequencies put the spectrum of L (Ketcheson &
+Ahmadia, CAMCoS 7 (2012)).  Its stable radius is 8.72 along the ray of
+the bundled point's extreme eigenvalue (96.5 degrees) against 2.73 for the
+Dormand-Prince 5(4) step, and |p(iy)| <= 1 + 4.2e-7 for y <= 5.70: at
+loss 0, where the spectrum of L lies on the imaginary axis, a step with
+h |lambda| <= 5.70 grows no mode by more than that factor.  Per accepted
+step the chain v_j = L^j y, j = 0..14, costs thirteen RHS calls (v_1 is the
+previous step's first-same-as-last derivative); the new state
+sum_j c_j h^j v_j, the error vector and the next derivative L y_new are one
+weighted sum over the chain.  The error vector is p(hL) y minus the Taylor
+polynomial of degree 8, whose weights start at h^9, so the controller scales
+the step by err^(-1/9).  It is measured in the max norm over entries, so the
+tolerance binds on every populated entry whatever the cutoff.  A rejected
+step re-weights the same chain with the smaller h and calls no RHS.  Output samples never cut a
 step short: a sample time t + s inside an accepted step [t, t + h] is read off
 the same polynomial as sum_j c_j s^j v_j, the step of size s from y, so the
 step sequence and the final state do not depend on the output grid.
@@ -42,8 +44,7 @@ populations at t = 0 and again after every accepted step (`_block_size`):
 it keeps `_HEADROOM` levels above the last level with population at least
 1e-14, grows by 8 levels when one of the block's top `_TAIL_MARGIN`
 populations exceeds 1e-13, and shrinks only by 4 levels or more.  A block
-of a positive state is positive.  At loss 0 there is no stationary support
-to follow and the block is the whole matrix.
+of a positive state is positive.  One rule serves every loss, 0 included.
 
 Without pump the master equation has an exact solution, each diagonal of rho
 evolving on its own; `unpumped_evolve` evaluates it at the sample times, in
@@ -119,38 +120,40 @@ _DP_ERR = np.array((
 _DP_A_MAT = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A])
 
 # The Krylov step.  For a linear autonomous f(y) = L y every explicit RK step
-# of size h is a polynomial in hL.  Instead of DP5's own (1, 1, 1/2, ..., 1/120,
-# 1/600, 0), the step is p(z) = sum_{j<=5} z^j/j! + c6 z^6 + c7 z^7: fifth
-# order, degree 7.  c6 and c7 maximise the mean stable radius (the first r
-# with |p(r e^{i theta})| > 1) over the rays theta = 91, 92, ..., 100 degrees,
-# on a grid of c6 in steps of 5e-5 and c7 in steps of 1.25e-5.  Those rays
-# are where the Kerr frequencies, about G n^2 against a loss of gamma0 n, put
-# the extreme eigenvalues of L: at the bundled point and n_cut 45 they are
-# -45 -+ 396i, on the rays at -+96.5 degrees (|p| is symmetric under
-# conjugation).  The radius is 5.38 there against 2.73 for DP5, 4.90 at 100
-# degrees, and larger than DP5's on every ray from 91 to 180 degrees.
+# of size h is a polynomial in hL.  The step is p(z) = sum_{j<=9} z^j/j! +
+# c10 z^10 + ... + c13 z^13: ninth order, degree 13 (Ketcheson & Ahmadia,
+# CAMCoS 7 (2012), for stability polynomials under order constraints).
+# c10..c13 give a stable radius (the first r with |p(r e^{i theta})| > 1) of
+# at least 8 on the rays theta = 91, 92, ..., 100 degrees, with
+# |p(iy)| <= 1 + 1e-6 for y <= 5.  Those rays are where the
+# Kerr frequencies, about G n^2 against a loss of gamma0 n, put the extreme
+# eigenvalues of L: at the bundled point and n_cut 45 they are -45 -+ 396i,
+# on the rays at -+96.5 degrees (|p| is symmetric under conjugation).  The
+# radius is 8.72 there, against 2.73 for DP5, and |p(iy)| <= 1 + 4.2e-7 for
+# y <= 5.70, so the step barely amplifies the imaginary-axis modes of a
+# lossless run.
 _KRYLOV_C = np.array(
-    (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0, 9e-4, 1.25e-4)
+    [1.0 / math.factorial(j) for j in range(10)]
+    + [2.53133613311336e-07, 2.214680489876813e-08, 1.1448598567167368e-09, 7.383238209173668e-11]
 )
-# The error reference is DP5's embedded 4th-order solution, which for y' = L y
-# is this polynomial (b* A^(j-1) 1 for the tableau's 4th-order weights b*).
-# The error vector p(hL) y minus it has weights that start at h^5.
-_DP5_EMBEDDED = np.array((
-    1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0,
-    1097.0 / 120000.0, 161.0 / 120000.0, 1.0 / 24000.0,
-))
-_KRYLOV_E = _KRYLOV_C - _DP5_EMBEDDED
-# One trial step is one (3, 9) @ (9, 2N) product over the chain v_0..v_8:
+# The error reference is the Taylor polynomial of degree 8, so the error
+# vector p(hL) y minus it has weights that start at h^9, and the controller
+# scales the step by err^(-1/9).
+_KRYLOV_E = _KRYLOV_C.copy()
+_KRYLOV_E[:9] = 0.0
+_KRYLOV_EXPONENT = -1.0 / 9.0
+# One trial step is one (3, 15) @ (15, 2N) product over the chain v_0..v_14:
 # row 0 the new state sum_j c_j h^j v_j, row 1 the error vector, row 2 the
 # derivative L y_new = sum_j c_j h^j v_(j+1) that the next step reuses.
 # Weight [i, j] is _KRYLOV_W[i, j] * h ** _KRYLOV_W_EXP[i, j].
-_KRYLOV_W = np.zeros((3, 9))
-_KRYLOV_W[0, :8] = _KRYLOV_C
-_KRYLOV_W[1, :8] = _KRYLOV_E
+_CHAIN = _KRYLOV_C.shape[0] + 1
+_KRYLOV_W = np.zeros((3, _CHAIN))
+_KRYLOV_W[0, :-1] = _KRYLOV_C
+_KRYLOV_W[1, :-1] = _KRYLOV_E
 _KRYLOV_W[2, 1:] = _KRYLOV_C
-_KRYLOV_POWERS = np.arange(8.0)
-_KRYLOV_W_EXP = np.zeros((3, 9))
-_KRYLOV_W_EXP[:2, :8] = _KRYLOV_POWERS
+_KRYLOV_POWERS = np.arange(float(_KRYLOV_C.shape[0]))
+_KRYLOV_W_EXP = np.zeros((3, _CHAIN))
+_KRYLOV_W_EXP[:2, :-1] = _KRYLOV_POWERS
 _KRYLOV_W_EXP[2, 1:] = _KRYLOV_POWERS
 
 # levels below the truncation edge whose population the tail guard watches
@@ -212,7 +215,7 @@ class StepDiagnostics:
     steps       : accepted steps completed at or before this time since t = 0
     rejected    : rejected trial steps since t = 0
     rhs_calls   : right-hand-side evaluations since t = 0, including those
-                  of a step still in progress at this time: 1 + 7 per
+                  of a step still in progress at this time: 1 + 13 per
                   accepted step + 1 per resize
     block       : the dimension integrated to reach this output
     resizes     : block resizes since t = 0
@@ -308,11 +311,15 @@ def _error_norm(
     return float(ratio.max())
 
 
-def _step_factor(err: float) -> float:
-    """Step-size factor after a trial step with error norm `err`."""
+def _step_factor(err: float, exponent: float = -0.2) -> float:
+    """Step-size factor 0.9 err^exponent after a trial step with error norm `err`, in [0.2, 5].
+
+    The exponent is -1/(q + 1) for an error estimate of order q: -1/5 for
+    DP5's, `_KRYLOV_EXPONENT` for the Krylov step's.
+    """
     if err == 0.0:
         return 5.0
-    return min(5.0, max(0.2, 0.9 * err ** -0.2))
+    return min(5.0, max(0.2, 0.9 * err ** exponent))
 
 
 def _adaptive_rk(
@@ -399,29 +406,32 @@ def _linear_krylov(
     project: Callable[[np.ndarray], np.ndarray],
     blocked: bool = False,
 ) -> Iterator[tuple[np.ndarray, tuple[int, int, int, int, int]]]:
-    """The degree-7 Krylov step for a linear autonomous y' = L y, sampled at times[1:].
+    """The degree-13 Krylov step for a linear autonomous y' = L y, sampled at times[1:].
 
     `rhs_at(d)` returns L at size d as `f(x, out=row)`, which writes L x
     into `row`; it is called once per size.  Integrates from times[0] to
     times[-1] with the step polynomial `_KRYLOV_C`, the error weights
-    `_KRYLOV_E` and the controller of `_adaptive_rk`, cutting only the last
-    step to end at times[-1].  Yields (sample, (steps, rejected, rhs_calls,
-    block, resizes)) in time order: the accepted steps completed at or
-    before the sample, the rejected trial steps and RHS calls made so far,
-    the size integrated and the resizes so far.  `project` maps every
-    accepted state and every sample read off a step polynomial (for evolve:
-    hermitize and renormalize); a sample at the end of a step is the
-    accepted state itself.
+    `_KRYLOV_E` and the controller of `_adaptive_rk` at the exponent
+    `_KRYLOV_EXPONENT`, cutting only the last step to end at times[-1].
+    Each accepted step costs 13 RHS calls, for v_2..v_14 of the chain
+    v_j = L^j y.  Yields (sample, (steps, rejected, rhs_calls, block,
+    resizes)) in time order: the accepted steps completed at or before the
+    sample, the rejected trial steps and RHS calls made so far, the size
+    integrated and the resizes so far.  `project` maps every accepted state
+    and every sample read off a step polynomial (for evolve: hermitize and
+    renormalize); a sample at the end of a step is the accepted state
+    itself.
 
-    With `blocked`, y is a dim x dim density matrix and only its leading
+    With `blocked`, y is a dim x dim density matrix, and only its leading
     d x d block is integrated, d from `_block_size` at t = 0 and again after
-    every accepted step but the last.  A principal block of a positive
-    state is positive, and growing pads with zeros.  A resize restarts the
-    chain at one RHS call.  Samples are d x d, the block that reached them;
-    padding them back to dim is the caller's choice.  Resizes look only at
-    accepted states, so the steps do not depend on the grid.  |y|, the
-    weighted sums over the chain and the error norm work in buffers
-    allocated once per block.
+    every accepted step but the last; without it, y is a generic array,
+    integrated whole.  A principal block of a positive state is positive,
+    and growing pads with zeros.  A resize restarts the chain at one RHS
+    call.  Samples are d x d, the block that reached them; padding them
+    back to dim is the caller's choice.  Resizes look only at accepted
+    states, so the steps do not depend on the grid.  |y|, the weighted sums
+    over the chain and the error norm work in buffers allocated once per
+    block.
     """
     n = times.shape[0]
     if n < 2:
@@ -433,17 +443,17 @@ def _linear_krylov(
 
     def restart(x: np.ndarray) -> tuple[np.ndarray, ...]:
         # chain[j] = L^j x, complex; its real view makes every weighted sum
-        # over the chain one real product with (9, 2N) rows.  With it come
+        # over the chain one real product with (_CHAIN, 2N) rows.  With it come
         # the buffers of this size: |x|, the (3, 2N) product and the error
         # norm's two rows.
         d = x.shape[0]
         if d not in rhs:
             rhs[d] = rhs_at(d)
         f = rhs[d]
-        chain = np.empty((9,) + x.shape, dtype=complex)
+        chain = np.empty((_CHAIN,) + x.shape, dtype=complex)
         chain[0] = x
         f(chain[0], out=chain[1])
-        flat = chain.view(float).reshape(9, -1)
+        flat = chain.view(float).reshape(_CHAIN, -1)
         prod = np.empty((3, flat.shape[1]))
         return chain, flat, f, np.empty(x.shape), prod, np.empty((2,) + x.shape)
 
@@ -466,9 +476,9 @@ def _linear_krylov(
         if h < h_min:
             raise StepSizeUnderflow(f"step size {h:.3e} underflow at t = {t:.6g}")
         if stale:
-            for j in range(2, 9):
+            for j in range(2, _CHAIN):
                 f(chain[j - 1], out=chain[j])
-            calls += 7
+            calls += _CHAIN - 2
             np.abs(chain[0], out=abs_y)
             stale = False
         np.power(h, _KRYLOV_W_EXP, out=weights)
@@ -480,7 +490,7 @@ def _linear_krylov(
             t_new = t_end if last else t + h
             while idx < n and times[idx] < t_new:
                 s = float(times[idx]) - t
-                sample = ((_KRYLOV_C * s**_KRYLOV_POWERS) @ flat[:8]).view(complex)
+                sample = ((_KRYLOV_C * s**_KRYLOV_POWERS) @ flat[:-1]).view(complex)
                 counts = (steps, rejected, calls, shape[0], resizes)
                 yield project(sample.reshape(shape)), counts
                 idx += 1
@@ -502,7 +512,7 @@ def _linear_krylov(
                 resizes += 1
         else:
             rejected += 1
-        h *= _step_factor(err)
+        h *= _step_factor(err, _KRYLOV_EXPONENT)
 
 
 def liouvillian_generator(
@@ -593,7 +603,10 @@ def _guarded_stream(
     integrated block.  `project` hermitizes and renormalizes a raw state
     and adds its |trace - 1| to the drift of the current output segment;
     every state a source produces (for the integrator, each accepted step as
-    well as each sample) goes through it.  At each output, in time order:
+    well as each sample) goes through it, and every sample it yields is a
+    `project` output.  Those are fresh and exactly Hermitian, so each
+    becomes a `DensityMatrix` on the trusted path, without a copy or a
+    Hermiticity scan.  At each output, in time order:
     the drift since the previous output must stay below 1e-8 per unit time
     (else `DriftTooLarge`), the population within `_TAIL_MARGIN` entries of
     the declared truncation edge below 1e-6 (else `CutoffExceeded`; 0 while
@@ -639,7 +652,7 @@ def _guarded_stream(
                 f"tail mass {tm:.3e} at t = {tb:.6g} (n_cut = {dim - 1} too small)"
             )
         try:
-            state = DensityMatrix(y)
+            state = DensityMatrix(y, hermitian=True)
         except ValueError as exc:
             raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
         diag = StepDiagnostics(drift_acc, tm, *counts, float(state.spectrum[0]))
@@ -664,18 +677,13 @@ def _collect(rho0: DensityMatrix, grid: TimeGrid, samples: _Samples) -> Trajecto
 def _krylov_samples(
     rho0: DensityMatrix, params: OscillatorParams, grid: TimeGrid, rtol: float, atol: float
 ) -> _Samples:
-    """The sample source of `evolve`: one `_linear_krylov` integration.
-
-    The block follows the populated levels except at loss 0, where there is
-    no stationary support to follow and the step, not contractive on the
-    imaginary axis, would take larger steps on a small block.
-    """
+    """The sample source of `evolve`: one `_linear_krylov` integration on the populated block."""
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be > 0")
     y0 = np.array(rho0.elements, dtype=complex)
     return lambda project: _linear_krylov(
         lambda d: liouvillian_generator(params, d), y0, grid.times, rtol, atol, project,
-        blocked=params.loss != 0,
+        blocked=True,
     )
 
 
@@ -688,20 +696,20 @@ def evolve(
 ) -> Trajectory:
     """Master-equation evolution of rho0 recorded at the grid times.
 
-    One adaptive integration with the degree-7 Krylov step runs from 0 to the
+    One adaptive integration with the degree-13 Krylov step runs from 0 to the
     last grid time; the grid only says where to sample it.  A sample inside a
     step is the step from the step's start to the sample time, read off the
-    step polynomial, so samples are fifth order and never shorten a step: the
+    step polynomial, so samples are ninth order and never shorten a step: the
     step sequence and the final state do not depend on how densely the grid
     samples.  Every accepted step and every sample is hermitized and
     renormalized, and each output passes the drift, tail-mass and positivity
     guards of `_guarded_stream` (`DriftTooLarge`, `CutoffExceeded`,
     `PositivityLost`).  Only the leading block of populated levels is
-    integrated (at loss 0 the whole matrix), and each output is zero-padded
-    back to the declared cutoff before the guards: the states are those
-    `stream_evolution` hands on, padded.  `StepDiagnostics` counts the
+    integrated, and each output is zero-padded back to the declared cutoff
+    before the guards: the states are those `stream_evolution` hands on,
+    padded.  `StepDiagnostics` counts the
     accepted steps completed at or before the output time, the rejected
-    steps, the RHS calls (1 + 7 per accepted step + 1 per resize) and the
+    steps, the RHS calls (1 + 13 per accepted step + 1 per resize) and the
     block resizes made so far, and gives the block integrated.  Every state is kept, so
     memory grows with the sample count; `stream_evolution` keeps none.
     """
@@ -824,8 +832,8 @@ def stream_evolution(
 
     The t = 0 output is rho0 itself.  Every later state is the integrated
     block: `state.dim` is `diagnostics.block`, rho on the leading levels of
-    rho0's basis and zero beyond them (the exact map and loss-0 runs keep
-    the whole matrix).  The state at the declared cutoff is its zero-padded
+    rho0's basis and zero beyond them (the exact map keeps the whole
+    matrix).  The state at the declared cutoff is its zero-padded
     copy, `DensityMatrix(fock.leading_block(state.elements, rho0.dim))`,
     which is what `evolve` keeps; `measures.bures_distance` and
     `measures.relative_entropy` take the block state against a target at

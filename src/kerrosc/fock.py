@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -116,16 +116,23 @@ class DensityMatrix:
     floored at `LOG_FLOOR` and the projector on the eigenvectors below it.
     Each is computed on first use and kept, so a state compared against many
     others is decomposed and rooted once.
+
+    `DensityMatrix(el, hermitian=True)` is the trusted path for a fresh,
+    exactly Hermitian complex array that nothing else will write, as the
+    evolution guards' projected samples are: el is kept as it is, without
+    the copy and the Hermiticity scan, and passes the same trace and
+    eigenvalue checks with the same messages.
     """
 
     elements: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
+    hermitian: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        el = np.array(self.elements, dtype=complex, copy=True)
+    def __post_init__(self, hermitian: bool) -> None:
+        el = self.elements if hermitian else np.array(self.elements, dtype=complex, copy=True)
         if el.ndim != 2 or el.shape[0] != el.shape[1] or el.shape[0] < 2:
             raise ValueError("elements must be a square matrix of dimension >= 2")
-        herm = float(np.max(np.abs(el - el.conj().T)))
+        herm = 0.0 if hermitian else float(np.max(np.abs(el - el.conj().T)))
         if herm > _HERM_TOL:
             raise ValueError(f"Hermiticity defect {herm:.3e} exceeds {_HERM_TOL}")
         tr = complex(np.trace(el))

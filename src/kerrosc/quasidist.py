@@ -39,9 +39,9 @@ So W^{(s)}(beta) = sum_ab K_ab phi_a(X) phi_b(Y), where K is the
 P_+^n P_-^m / sqrt(n! m!) |0,0>, and a grid is Phi_im^T K^T Phi_re with one
 (2 dim - 1, points) table Phi per axis.  The two-mode states of one level
 N = m + n are built from those of level N - 1 with the symmetric recurrence
-N |n, m> = sqrt(n) P_+ |n-1, m> + sqrt(m) P_- |n, m-1>, and each level is
-contracted with the anti-diagonal m + n = N of every state as soon as it
-is built.  The coefficients are kept packed by level, and each state's K is
+N |n, m> = sqrt(n) P_+ |n-1, m> + sqrt(m) P_- |n, m-1>.  They depend only on
+dim, so they are built once per dim and cached, and each level is contracted
+with the anti-diagonal m + n = N of every state.  The coefficients are kept packed by level, and each state's K is
 unpacked only for its own products.  The cost per state is O(dim^3) plus its products with the two
 tables.  Every product takes one state at a time with the same shapes, so
 a state's grid does not depend on the batch it is in.  For a Hermitian state K is real; its imaginary part is carried
@@ -58,6 +58,7 @@ valid while K_s > 0; K_1 <= 0 certifies nonclassicality.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -247,6 +248,45 @@ def _smoothed_hermite_rows(x: np.ndarray, t: float, count: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _level_vectors(dim: int) -> tuple[np.ndarray, ...]:
+    """The two-mode states of each level N < 2 dim - 1 at this dim, read-only.
+
+    vectors[N][n - lo, a] is the real factor of the component of |n, N - n>
+    along |a, N - a>, for n = lo..hi with lo = max(0, N - dim + 1) and
+    hi = min(N, dim - 1).  They depend only on dim, so each dim builds them
+    once: 0.78 MB at dim 46 and 6.0 MB at dim 91.
+    """
+    size = 2 * dim - 1
+    root = np.sqrt(np.arange(size))
+    levels = []
+    # padded[1 + n - lo, a]: vectors[N] between one zero row above and one below
+    padded = np.array([[0.0], [1.0], [0.0]])
+    lo = 0
+    for total in range(size):
+        new_lo, hi = max(0, total - dim + 1), min(total, dim - 1)
+        if total:
+            n = np.arange(new_lo, hi + 1)
+            # sqrt(2) P_+- w = shifted + straight or shifted - straight, with
+            # shifted[a] = sqrt(a) w[a-1] and straight[a] = sqrt(total - a) w[a]
+            shifted = np.zeros((padded.shape[0], total + 1))
+            np.multiply(padded, root[1 : total + 1], out=shifted[:, 1:])
+            straight = np.zeros_like(shifted)
+            np.multiply(padded, root[total:0:-1], out=straight[:, :-1])
+            plus, minus = shifted + straight, shifted - straight
+            first = new_lo - lo  # the row of |n - 1, total - n> for n = new_lo
+            weight = total * math.sqrt(2.0)
+            padded = np.zeros((n.shape[0] + 2, total + 1))
+            inner = padded[1:-1]
+            np.multiply(plus[first : first + n.shape[0]], (root[n] / weight)[:, None], out=inner)
+            inner += minus[first + 1 : first + 1 + n.shape[0]] * (root[total - n] / weight)[:, None]
+            lo = new_lo
+        vectors = np.array(padded[1:-1])
+        vectors.setflags(write=False)
+        levels.append(vectors)
+    return tuple(levels)
+
+
 def _hermite_coefficients(r: np.ndarray) -> np.ndarray:
     """The coefficients K of each of the (R, dim, dim) states r, packed by level.
 
@@ -257,34 +297,13 @@ def _hermite_coefficients(r: np.ndarray) -> np.ndarray:
     count, dim = r.shape[0], r.shape[1]
     size = 2 * dim - 1
     out = np.empty((count, 2, size * (size + 1) // 2))
-    root = np.sqrt(np.arange(size))
     # i^b, with the normalization 2/sqrt(pi) of the s = 0 function
     phase = (2.0 / math.sqrt(math.pi)) * np.array([1.0, 1j, -1.0, -1j])[np.arange(size) % 4]
-    # vectors[1 + n - lo, a]: the real factor of the component of |n, N - n> along
-    # |a, N - a>, for n = lo..hi, between one zero row above and one below
-    vectors = np.array([[0.0], [1.0], [0.0]])
-    lo = 0
-    for total in range(size):
-        new_lo, hi = max(0, total - dim + 1), min(total, dim - 1)
-        n = np.arange(new_lo, hi + 1)
-        if total:
-            # sqrt(2) P_+- w = shifted + straight or shifted - straight, with
-            # shifted[a] = sqrt(a) w[a-1] and straight[a] = sqrt(total - a) w[a]
-            shifted = np.zeros((vectors.shape[0], total + 1))
-            np.multiply(vectors, root[1 : total + 1], out=shifted[:, 1:])
-            straight = np.zeros_like(shifted)
-            np.multiply(vectors, root[total:0:-1], out=straight[:, :-1])
-            plus, minus = shifted + straight, shifted - straight
-            first = new_lo - lo  # the row of |n - 1, total - n> for n = new_lo
-            weight = total * math.sqrt(2.0)
-            vectors = np.zeros((n.shape[0] + 2, total + 1))
-            inner = vectors[1:-1]
-            np.multiply(plus[first : first + n.shape[0]], (root[n] / weight)[:, None], out=inner)
-            inner += minus[first + 1 : first + 1 + n.shape[0]] * (root[total - n] / weight)[:, None]
-            lo = new_lo
+    for total, vectors in enumerate(_level_vectors(dim)):
+        n = np.arange(max(0, total - dim + 1), min(total, dim - 1) + 1)
         anti = np.ascontiguousarray(r[:, total - n, n]).view(float).reshape(count, -1, 2)
         # one (total + 1, rows) @ (rows, 2) product per state, whatever the batch
-        sums = np.matmul(vectors[1:-1].T, anti).view(complex)[..., 0]
+        sums = np.matmul(vectors.T, anti).view(complex)[..., 0]
         terms = sums[:, ::-1] * phase[: total + 1]  # b = 0..total
         start = total * (total + 1) // 2
         out[:, 0, start : start + total + 1] = terms.real

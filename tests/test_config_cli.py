@@ -84,8 +84,8 @@ outputs:
   - kind: gaussian_report
 """
 
-POSITIVITY_LOSS_YAML = """
-name: positivity
+LOSSLESS_PUMPED_YAML = """
+name: lossless
 initial_state:
   kind: coherent
   alpha: [2.0, 0.0]
@@ -100,6 +100,37 @@ time:
   sample_count: 101
 outputs:
   - kind: timeseries
+"""
+
+
+# `kerrosc.cli` with the integrator's sample source wrapped so that its
+# fourth sample is the projection of diag(1 + 1e-6, -1e-6, 0, ...): unit
+# trace, no tail mass, and a minimum eigenvalue of -1e-6
+FAILING_SOURCE_RUN = """
+import sys
+import numpy as np
+import kerrosc.dynamics as dynamics
+from kerrosc.cli import main
+
+krylov_samples = dynamics._krylov_samples
+
+
+def failing(*args):
+    source = krylov_samples(*args)
+
+    def samples(project):
+        for index, (y, counts) in enumerate(source(project)):
+            if index == 3:
+                bad = np.zeros_like(y)
+                bad[0, 0], bad[1, 1] = 1.0 + 1e-6, -1e-6
+                y = project(bad)
+            yield y, counts
+
+    return samples
+
+
+dynamics._krylov_samples = failing
+sys.exit(main(sys.argv[1:]))
 """
 
 
@@ -792,15 +823,24 @@ class TestCli:
         assert float(np.max(np.abs(raised_table - bundled)[~empty])) <= 1e-7
         assert abs(steps[1] - steps[0]) <= 0.1 * steps[0]
 
-    def test_run_positivity_loss_exits_3_without_traceback(self, tmp_path):
-        # lossless and pumped from |alpha=2> at n_cut 45: the eigenvalue
-        # floor breaks before the tail mass exceeds its budget
+    def test_run_lossless_pumped_passes_the_floor(self, tmp_path, capsys):
+        # lossless and pumped from |alpha=2> at n_cut 45: the step keeps the
+        # imaginary-axis modes within the -1e-9 floor on the populated block
         path = tmp_path / "s.yaml"
-        path.write_text(POSITIVITY_LOSS_YAML)
+        path.write_text(LOSSLESS_PUMPED_YAML)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "steps:" in capsys.readouterr().out
+
+    def test_run_positivity_loss_exits_3_without_traceback(self, tmp_path):
+        # the lossless pumped scenario with a sample source that hands the
+        # guards a non-positive state at its fourth output, after the runner
+        # has collected rows
+        path = tmp_path / "s.yaml"
+        path.write_text(LOSSLESS_PUMPED_YAML)
         src = Path(kerrosc.__file__).resolve().parent.parent
         path_env = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
-            [sys.executable, "-m", "kerrosc.cli", "run", str(path),
+            [sys.executable, "-c", FAILING_SOURCE_RUN, "run", str(path),
              "--out", str(tmp_path / "out")],
             capture_output=True,
             text=True,

@@ -99,6 +99,31 @@ class TestDensityMatrix:
         el = np.diag([1.0 + 1e-10, -1e-10]).astype(complex)
         assert DensityMatrix(el).dim == 2
 
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[1.0, 1.0, 1.0], [1.0 + 2e-9, 0.0, 0.0], [1.5, -0.5, 0.0], [1.0 + 2e-9, -2e-9, 0.0]],
+        ids=["trace3", "trace_off_2e-9", "eigenvalue-0.5", "eigenvalue-2e-9"],
+    )
+    def test_trusted_path_runs_the_same_checks(self, diagonal):
+        # the trusted path skips the copy and the Hermiticity scan, not the
+        # trace and eigenvalue checks: the same input fails with the same
+        # message on both paths
+        el = np.diag(diagonal).astype(complex)
+        with pytest.raises(ValueError) as checked:
+            DensityMatrix(el)
+        with pytest.raises(ValueError) as trusted:
+            DensityMatrix(el.copy(), hermitian=True)
+        assert str(trusted.value) == str(checked.value)
+        assert ("trace" in str(checked.value)) != ("eigenvalue" in str(checked.value))
+
+    def test_trusted_path_keeps_the_array(self, rng):
+        el = np.array(random_density(rng, dim=12).elements)
+        trusted = DensityMatrix(el, hermitian=True)
+        assert trusted.elements is el and not el.flags.writeable
+        checked = DensityMatrix(el)
+        assert checked.elements is not el
+        assert np.array_equal(trusted.spectrum, checked.spectrum)
+
     def test_spectrum_is_ascending_eigenvalues(self, rng):
         rho = random_density(rng, dim=30)
         np.testing.assert_allclose(

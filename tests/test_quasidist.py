@@ -37,6 +37,7 @@ from kerrosc.fock import (
 from kerrosc.gaussian import GaussianState
 from kerrosc.quasidist import (
     QuasiGrid,
+    _level_vectors,
     associated_laguerre,
     cg_matrix_element,
     gaussian_quasidistribution,
@@ -389,6 +390,25 @@ class TestBatchedGrid:
             np.testing.assert_array_equal(
                 batch.values[j], quasidistribution(state, 0.0, axis, axis).values
             )
+
+    @pytest.mark.parametrize("dim", [12, 46])
+    def test_cached_level_vectors_equal_a_fresh_build(self, rng, dim):
+        # the level vectors depend only on dim and are built once per dim:
+        # the cached tables, and the grids made from them, equal those of a
+        # fresh build bit for bit
+        rho = random_density(rng, dim=dim)
+        axis = np.linspace(-3.0, 3.0, 13)
+        cached = _level_vectors(dim)
+        assert _level_vectors(dim) is cached
+        fresh = _level_vectors.__wrapped__(dim)
+        assert len(cached) == len(fresh) == 2 * dim - 1
+        for a, b in zip(cached, fresh):
+            assert not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+        grids = [quasidistribution(rho, s, axis, axis).values for s in (-1.0, 0.0)]
+        _level_vectors.cache_clear()
+        for s, grid in zip((-1.0, 0.0), grids):
+            np.testing.assert_array_equal(quasidistribution(rho, s, axis, axis).values, grid)
 
     def test_rejects_empty_and_mixed_dimensions(self, rng):
         with pytest.raises(ValueError):
