@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Any, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Any, ClassVar, Union, get_args
 
 import yaml
 
@@ -55,22 +55,41 @@ class TimeSpec:
     sample_count: int
 
 
+class _Output:
+    """An output kind: its YAML name, and what a run must build for it.
+
+    Each output dataclass sets `kind`; its fields, with their defaults, are
+    the kind's YAML fields in canonical order.  `needs_evolution` asks for
+    the master-equation run, `needs_steady` for the exact steady state.
+    """
+
+    kind: ClassVar[str]
+    needs_evolution: ClassVar[bool] = False
+    needs_steady: ClassVar[bool] = False
+
+
 @dataclass(frozen=True)
-class TimeseriesOutput:
+class TimeseriesOutput(_Output):
     """Scalar measures versus time, one CSV."""
 
+    kind = "timeseries"
+    needs_evolution = True
+
 
 @dataclass(frozen=True)
-class ClassicalPathOutput:
+class ClassicalPathOutput(_Output):
     """Classical amplitude (optionally with linearized noise) versus time."""
 
+    kind = "classical_path"
+    needs_evolution = True
     with_noise: bool = False
 
 
 @dataclass(frozen=True)
-class QuasiGridOutput:
+class QuasiGridOutput(_Output):
     """Phase-space grid of the s-parametrized quasidistribution."""
 
+    kind = "quasi_grid"
     s: float
     re_min: float = -6.0
     re_max: float = 6.0
@@ -80,20 +99,38 @@ class QuasiGridOutput:
     target: str = "snapshots"  # "snapshots" or "steady"
     eigenvectors: int = 0  # with target "steady": also render top-k eigenvectors
 
+    @property
+    def needs_evolution(self) -> bool:
+        return self.target == "snapshots"
+
+    @property
+    def needs_steady(self) -> bool:
+        return self.target == "steady"
+
 
 @dataclass(frozen=True)
-class SteadyReportOutput:
+class SteadyReportOutput(_Output):
     """Exact steady scalars, eigenweights, Gaussian and crude estimates."""
 
+    kind = "steady_report"
+    needs_steady = True
+
 
 @dataclass(frozen=True)
-class GaussianReportOutput:
+class GaussianReportOutput(_Output):
     """Exact-versus-Gaussian comparison table."""
 
+    kind = "gaussian_report"
+    needs_steady = True
+
 
 @dataclass(frozen=True)
-class DistanceToSteadyOutput:
+class DistanceToSteadyOutput(_Output):
     """Bures and relative-entropy distance to the steady state versus time."""
+
+    kind = "distance_to_steady"
+    needs_evolution = True
+    needs_steady = True
 
 
 OutputSpec = Union[
@@ -104,6 +141,7 @@ OutputSpec = Union[
     GaussianReportOutput,
     DistanceToSteadyOutput,
 ]
+_OUTPUT_KINDS = {cls.kind: cls for cls in get_args(OutputSpec)}
 
 
 @dataclass(frozen=True)
@@ -277,70 +315,46 @@ def _parse_time(raw: Any, errors: list[str]) -> TimeSpec:
     )
 
 
-_OUTPUT_FIELDS = {
-    "timeseries": (),
-    "classical_path": ("with_noise",),
-    "quasi_grid": (
-        "s",
-        "re_min",
-        "re_max",
-        "im_min",
-        "im_max",
-        "points",
-        "target",
-        "eigenvectors",
-    ),
-    "steady_report": (),
-    "gaussian_report": (),
-    "distance_to_steady": (),
-}
-
-
 def _parse_output(raw: Any, path: str, errors: list[str]) -> OutputSpec | None:
     if not isinstance(raw, dict) or "kind" not in raw:
         errors.append(f"{path}: must be a mapping with a kind field")
         return None
     kind = raw["kind"]
-    if kind not in _OUTPUT_FIELDS:
+    cls = _OUTPUT_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         errors.append(
-            f"{path}.kind: must be one of {', '.join(sorted(_OUTPUT_FIELDS))}"
+            f"{path}.kind: must be one of {', '.join(sorted(_OUTPUT_KINDS))}"
         )
         return None
-    _mapping(raw, path, errors, ("kind",) + _OUTPUT_FIELDS[kind])
-    if kind == "timeseries":
-        return TimeseriesOutput()
-    if kind == "classical_path":
-        with_noise = raw.get("with_noise", False)
+    _mapping(raw, path, errors, ("kind",) + tuple(f.name for f in fields(cls)))
+    if cls is ClassicalPathOutput:
+        with_noise = raw.get("with_noise", cls.with_noise)
         if not isinstance(with_noise, bool):
             errors.append(f"{path}.with_noise: must be true or false")
-            with_noise = False
+            with_noise = cls.with_noise
         return ClassicalPathOutput(with_noise=with_noise)
-    if kind == "steady_report":
-        return SteadyReportOutput()
-    if kind == "gaussian_report":
-        return GaussianReportOutput()
-    if kind == "distance_to_steady":
-        return DistanceToSteadyOutput()
+    if cls is not QuasiGridOutput:
+        return cls()
     if "s" not in raw:
         errors.append(f"{path}.s: required for quasi_grid")
     s = _real(raw.get("s", 0.0), f"{path}.s", errors, 0.0)
     if not -1.0 <= s <= _S_MAX:
         errors.append(f"{path}.s: must lie in [-1, 1 - 1e-9]")
     # infinite stand-ins keep the range checks quiet
-    re_min = _real(raw.get("re_min", -6.0), f"{path}.re_min", errors, -math.inf)
-    re_max = _real(raw.get("re_max", 6.0), f"{path}.re_max", errors, math.inf)
-    im_min = _real(raw.get("im_min", -6.0), f"{path}.im_min", errors, -math.inf)
-    im_max = _real(raw.get("im_max", 6.0), f"{path}.im_max", errors, math.inf)
+    re_min = _real(raw.get("re_min", cls.re_min), f"{path}.re_min", errors, -math.inf)
+    re_max = _real(raw.get("re_max", cls.re_max), f"{path}.re_max", errors, math.inf)
+    im_min = _real(raw.get("im_min", cls.im_min), f"{path}.im_min", errors, -math.inf)
+    im_max = _real(raw.get("im_max", cls.im_max), f"{path}.im_max", errors, math.inf)
     if re_min >= re_max:
         errors.append(f"{path}.re_min: must be < re_max")
     if im_min >= im_max:
         errors.append(f"{path}.im_min: must be < im_max")
-    points = _integer(raw.get("points", 121), f"{path}.points", errors, 2, 2)
-    target = raw.get("target", "snapshots")
+    points = _integer(raw.get("points", cls.points), f"{path}.points", errors, 2, 2)
+    target = raw.get("target", cls.target)
     if target not in ("snapshots", "steady"):
         errors.append(f"{path}.target: must be snapshots or steady")
-        target = "snapshots"
-    eig = _integer(raw.get("eigenvectors", 0), f"{path}.eigenvectors", errors, 0, 0)
+        target = cls.target
+    eig = _integer(raw.get("eigenvectors", cls.eigenvectors), f"{path}.eigenvectors", errors, 0, 0)
     if eig and target != "steady":
         errors.append(
             f"{path}.eigenvectors: only meaningful with target steady"
@@ -400,15 +414,12 @@ def validate_config(text: str) -> ScenarioConfig | list[str]:
                     f"outputs[{i}]: quasi_grid over snapshots requires "
                     "time.snapshot_times"
                 )
-        needs_steady = isinstance(
-            out, (SteadyReportOutput, GaussianReportOutput, DistanceToSteadyOutput)
-        ) or (isinstance(out, QuasiGridOutput) and out.target == "steady")
-        if needs_steady and params.kerr == 0.0:
+        if out.needs_steady and params.kerr == 0.0:
             errors.append(
                 f"outputs[{i}]: requires kerr != 0 (the steady state of the "
                 "linear oscillator is the coherent state pump/loss)"
             )
-        if needs_steady and params.loss == 0.0:
+        if out.needs_steady and params.loss == 0.0:
             errors.append(
                 f"outputs[{i}]: requires loss > 0 (without loss there is no "
                 "stationary state)"
@@ -459,33 +470,7 @@ def canonical_dict(config: ScenarioConfig) -> dict:
         "snapshot_times": list(config.time.snapshot_times),
         "sample_count": config.time.sample_count,
     }
-    rendered = []
-    for spec in config.outputs:
-        if isinstance(spec, TimeseriesOutput):
-            rendered.append({"kind": "timeseries"})
-        elif isinstance(spec, ClassicalPathOutput):
-            rendered.append({"kind": "classical_path", "with_noise": spec.with_noise})
-        elif isinstance(spec, SteadyReportOutput):
-            rendered.append({"kind": "steady_report"})
-        elif isinstance(spec, GaussianReportOutput):
-            rendered.append({"kind": "gaussian_report"})
-        elif isinstance(spec, DistanceToSteadyOutput):
-            rendered.append({"kind": "distance_to_steady"})
-        else:
-            rendered.append(
-                {
-                    "kind": "quasi_grid",
-                    "s": spec.s,
-                    "re_min": spec.re_min,
-                    "re_max": spec.re_max,
-                    "im_min": spec.im_min,
-                    "im_max": spec.im_max,
-                    "points": spec.points,
-                    "target": spec.target,
-                    "eigenvectors": spec.eigenvectors,
-                }
-            )
-    out["outputs"] = rendered
+    out["outputs"] = [{"kind": spec.kind, **asdict(spec)} for spec in config.outputs]
     return out
 
 

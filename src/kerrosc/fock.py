@@ -78,6 +78,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def hermitian_eigh(a: np.ndarray, values_only: bool = False):
+    """`np.linalg.eigh(a)`, or `eigvalsh(a)` if `values_only`: ascending
+    eigenvalues (and eigenvectors) of a Hermitian matrix, with a solver
+    failure raised as `EigSolverFailure`."""
+    try:
+        return np.linalg.eigvalsh(a) if values_only else np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverFailure(str(exc)) from exc
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrix square root from eigenpairs, eigenvalues clipped at 0."""
+    return _read_only((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state: amplitudes c_k over the truncated Fock basis."""
@@ -132,17 +147,20 @@ class DensityMatrix:
         el = self.elements if hermitian else np.array(self.elements, dtype=complex, copy=True)
         if el.ndim != 2 or el.shape[0] != el.shape[1] or el.shape[0] < 2:
             raise ValueError("elements must be a square matrix of dimension >= 2")
+        # each check is written so that NaN fails it
         herm = 0.0 if hermitian else float(np.max(np.abs(el - el.conj().T)))
-        if herm > _HERM_TOL:
+        if not herm <= _HERM_TOL:
             raise ValueError(f"Hermiticity defect {herm:.3e} exceeds {_HERM_TOL}")
         tr = complex(np.trace(el))
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
         # an exactly Hermitian input, as every projected sample is, is its
         # own symmetrization
-        spectrum = np.linalg.eigvalsh(el if herm == 0.0 else 0.5 * (el + el.conj().T))
+        spectrum = hermitian_eigh(
+            el if herm == 0.0 else 0.5 * (el + el.conj().T), values_only=True
+        )
         w_min = float(spectrum[0])
-        if w_min < -_EIG_TOL:
+        if not w_min >= -_EIG_TOL:
             raise ValueError(f"minimum eigenvalue {w_min:.3e} below -{_EIG_TOL}")
         object.__setattr__(self, "elements", _read_only(el))
         object.__setattr__(self, "spectrum", _read_only(spectrum))
@@ -154,17 +172,13 @@ class DensityMatrix:
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors, as `np.linalg.eigh` gives."""
-        try:
-            w, v = np.linalg.eigh(self.elements)
-        except np.linalg.LinAlgError as exc:
-            raise EigSolverFailure(str(exc)) from exc
+        w, v = hermitian_eigh(self.elements)
         return _read_only(w), _read_only(v)
 
     @cached_property
     def root(self) -> np.ndarray:
         """sqrt(rho) from `eigenpairs`, with the eigenvalues clipped at 0."""
-        w, v = self.eigenpairs
-        return _read_only((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+        return _root(*self.eigenpairs)
 
     @cached_property
     def _leading_roots(self) -> dict[int, np.ndarray]:
@@ -176,11 +190,7 @@ class DensityMatrix:
             return self.root
         roots = self._leading_roots
         if d not in roots:
-            try:
-                w, v = np.linalg.eigh(self.elements[:d, :d])
-            except np.linalg.LinAlgError as exc:
-                raise EigSolverFailure(str(exc)) from exc
-            roots[d] = _read_only((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+            roots[d] = _root(*hermitian_eigh(self.elements[:d, :d]))
         return roots[d]
 
     @cached_property

@@ -94,18 +94,30 @@ def classical_steady_amplitude(params: OscillatorParams) -> complex:
             "no stationary amplitude exists for zero loss and zero kerr "
             "with a nonzero pump"
         )
-    target = abs(p) ** 2
-    if g == 0.0:
-        intensity = target / g0**2
+    # I is scale-free, so it is found in units of the larger rate: there
+    # a = gamma0/s and b = 2|G|/s, one of them 1, and no square underflows
+    # at tiny rates
+    s = max(g0, 2.0 * abs(g))
+    a, b, q = g0 / s, 2.0 * abs(g) / s, abs(p) / s
+    target = q * q
+    # f(I) = (a^2 + b^2 I^2) I - q^2 is strictly increasing, and >= 0 both
+    # at (q/a)^2 and at (q/b)^(2/3): the smaller one brackets the root
+    ratio = q / a if a > 0.0 else math.inf
+    hi = ratio * ratio
+    if b > 0.0:
+        hi = min(hi, (q / b) ** (2.0 / 3.0))
+    if not (math.isfinite(hi) and math.isfinite(target)):
+        raise UnstableLinearization(
+            f"the stationary intensity at pump {p}, kerr {g} and loss {g0} "
+            "exceeds the double range"
+        )
+    if b == 0.0:
+        intensity = hi
     else:
-        # f(I) = 4 G^2 I^3 + gamma0^2 I - |p|^2 is strictly increasing, so
-        # bisect a bracket and polish with Newton.
+        # bisect the bracket and polish with Newton
         def f(i: float) -> float:
-            return (4.0 * g * g * i * i + g0 * g0) * i - target
+            return (a * a + (b * i) * (b * i)) * i - target
 
-        # at I0 = (|p|^2 / 4G^2)^(1/3) the cubic term alone reaches |p|^2, so
-        # f(I0) = gamma0^2 I0 >= 0 and I0 brackets the root from above
-        hi = max(1.0, (target / (4.0 * g * g)) ** (1.0 / 3.0))
         lo = 0.0
         while f(hi) < 0.0:
             hi *= 2.0
@@ -119,7 +131,7 @@ def classical_steady_amplitude(params: OscillatorParams) -> complex:
                 break
         intensity = 0.5 * (lo + hi)
         for _ in range(4):
-            deriv = 12.0 * g * g * intensity * intensity + g0 * g0
+            deriv = a * a + 3.0 * (b * intensity) * (b * intensity)
             intensity -= f(intensity) / deriv
     return p / (g0 + 2j * g * intensity)
 

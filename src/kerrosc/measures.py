@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EigSolverFailure,
     NegativeDiagonal,
     SupportMismatch,
     VacuumLimitWarning,
 )
-from .fock import LOG_FLOOR, DensityMatrix, StateVector
+from .fock import LOG_FLOOR, DensityMatrix, StateVector, hermitian_eigh
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +238,7 @@ def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _on_target(rho, sigma)
     s_root = sigma.leading_root(rho.dim)
     inner = s_root @ rho.elements @ s_root
-    try:
-        w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
+    w = hermitian_eigh(0.5 * (inner + inner.conj().T), values_only=True)
     fidelity_root = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
     return min(max(2.0 - 2.0 * fidelity_root, 0.0), 2.0)
 

@@ -449,17 +449,6 @@ def _consume_evolution(
     return kept
 
 
-def _needs_trajectory(config: ScenarioConfig) -> bool:
-    for out in config.outputs:
-        if isinstance(
-            out, (TimeseriesOutput, ClassicalPathOutput, DistanceToSteadyOutput)
-        ):
-            return True
-        if isinstance(out, QuasiGridOutput) and out.target == "snapshots":
-            return True
-    return False
-
-
 _TIMESERIES_COLUMNS = [
     "t",
     "mean_n",
@@ -577,7 +566,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
     psi0 = _initial_vector(config, cutoff)
     grid = _union_grid(config)
     kept = None
-    if _needs_trajectory(config):
+    if any(spec.needs_evolution for spec in config.outputs):
         # cached across outputs, so its decomposition is too
         target = (
             steady_density(params, cutoff)

@@ -153,7 +153,7 @@ def _hyper_0f2_series(a, b, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     peak, small = np.ones(a.size), np.zeros(a.size, dtype=int)
     shift = np.zeros(a.size, dtype=int)
     k = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raises below
         while live.size:
             term = term * z / ((k + 1) * (a + k) * (b + k))
             y = term - comp
@@ -256,7 +256,9 @@ class SteadyParams:
         _require_closed_form(params)
         eps = -1j * params.pump / params.kerr
         lam = -1j * params.loss / params.kerr
-        f0, _, exp2 = _hyper_0f2_series(lam.conjugate(), lam, 2.0 * abs(eps) ** 2)
+        # the product is inf where |eps|^2 leaves the double range, which the
+        # series reports as a typed failure; ** would raise OverflowError
+        f0, _, exp2 = _hyper_0f2_series(lam.conjugate(), lam, 2.0 * abs(eps) * abs(eps))
         ln_norm_c = (
             complex_lgamma(lam.conjugate()) + complex_lgamma(lam)
             - cmath.log(complex(f0)) - float(exp2) * _LN_2

@@ -227,6 +227,10 @@ class TestValidateConfig:
             ),
             (lambda t: t.replace("sample_count: 3", "sample_count: 1"), "sample_count"),
             (lambda t: t.replace("kind: timeseries", "kind: nonsense"), "kind"),
+            (
+                lambda t: t.replace("kind: timeseries", "kind: [timeseries]"),
+                "outputs[0].kind: must be one of",
+            ),
             (lambda t: t.replace("    s: 0.0", "    s: 1.0"), "[-1, 1 - 1e-9]"),
             (lambda t: t.replace("cutoff: 30", "cutoff: 0"), "cutoff"),
             (
@@ -331,6 +335,31 @@ class TestCanonicalForm:
         data = canonical_dict(good_config())
         assert data["params"]["pump"] == [5.0, 0.0]
         assert data["initial_state"]["alpha"] == [1.0, -2.0]
+
+    def test_output_entries_are_pinned(self):
+        # every output kind's entry, its keys in canonical order; the two
+        # added outputs take every default but quasi_grid's s and target
+        text = GOOD_YAML.replace(
+            "  - kind: timeseries\n",
+            "  - kind: timeseries\n  - kind: classical_path\n  - kind: quasi_grid\n"
+            "    s: -1.0\n    target: steady\n    eigenvectors: 2\n",
+        )
+        canon = canonical_text(validate_config(text))
+        assert canon[canon.index("outputs:\n"):] == (
+            "outputs:\n"
+            "- kind: timeseries\n"
+            "- kind: classical_path\n  with_noise: false\n"
+            "- kind: quasi_grid\n  s: -1.0\n  re_min: -6.0\n  re_max: 6.0\n"
+            "  im_min: -6.0\n  im_max: 6.0\n  points: 121\n  target: steady\n"
+            "  eigenvectors: 2\n"
+            "- kind: classical_path\n  with_noise: true\n"
+            "- kind: quasi_grid\n  s: 0.0\n  re_min: -2.0\n  re_max: 2.0\n"
+            "  im_min: -2.0\n  im_max: 2.0\n  points: 9\n  target: snapshots\n"
+            "  eigenvectors: 0\n"
+            "- kind: distance_to_steady\n"
+            "- kind: steady_report\n"
+            "- kind: gaussian_report\n"
+        )
 
     def test_serialization_is_idempotent(self):
         text1 = canonical_text(good_config())
@@ -900,6 +929,37 @@ class TestCli:
         code = main(["steady", "--G", "0.2", "--gamma0", "1", "--p", "20,0", "--cutoff", "180"])
         assert code == 0
         assert "mean_n" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            ["--G", "1e-300", "--gamma0", "1"],
+            ["--G", "1e-300", "--gamma0", "1", "--cutoff", "40"],
+            ["--G", "1", "--gamma0", "1e-320"],
+        ],
+        ids=["tiny_kerr", "tiny_kerr_cutoff_40", "tiny_loss"],
+    )
+    def test_steady_at_extreme_rates_exits_3(self, rates, capsys):
+        # the basis is sized from the linear-loss limit p/gamma0; the series
+        # argument 2|p/G|^2 or its first term is out of range, a typed failure
+        # with no numpy warning before it
+        assert main(["steady", "--p", "1"] + rates) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 0F2 series")
+        assert err.count("\n") == 1
+
+    def test_run_at_tiny_kerr_sizes_the_basis(self, tmp_path, capsys):
+        # no cutoff: the basis is sized from <n> = |p/gamma0|^2 = 25
+        text = GOOD_YAML.replace("kerr: 0.2", "kerr: 1.0e-300").replace("cutoff: 30\n", "")
+        path = tmp_path / "tiny.yaml"
+        path.write_text(text.split("  - kind: classical_path")[0])
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "cutoff: 86" in capsys.readouterr().out.splitlines()
+        # the steady outputs need the series, out of range at this Kerr
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
     @pytest.mark.parametrize(
         "flag,value", [("--gamma0", "-1"), ("--p", "nan"), ("--G", "inf"), ("--cutoff", "0")]

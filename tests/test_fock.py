@@ -13,6 +13,7 @@ from conftest import random_density
 from kerrosc.errors import (
     CutoffTooSmall,
     DimensionMismatch,
+    EigSolverFailure,
     IndexOutOfRange,
     ZeroNorm,
 )
@@ -28,6 +29,7 @@ from kerrosc.fock import (
     default_cutoff,
     density_from_pure,
     fock_state,
+    hermitian_eigh,
     tail_mass,
 )
 
@@ -115,6 +117,55 @@ class TestDensityMatrix:
             DensityMatrix(el.copy(), hermitian=True)
         assert str(trusted.value) == str(checked.value)
         assert ("trace" in str(checked.value)) != ("eigenvalue" in str(checked.value))
+
+    @pytest.mark.parametrize(
+        "where,hermitian,message",
+        [
+            ((2, 2), False, "Hermiticity"),
+            ((2, 2), True, "trace"),
+            ((0, 1), False, "Hermiticity"),
+            ((0, 1), True, "eigenvalue"),
+        ],
+        ids=["diagonal-checked", "diagonal-trusted", "off_diagonal-checked",
+             "off_diagonal-trusted"],
+    )
+    def test_rejects_nan(self, where, hermitian, message):
+        # NaN fails each check it reaches; LAPACK reads a NaN diagonal entry
+        # as the spectrum [0, -0, 1/3], which passes the eigenvalue floor
+        el = np.eye(3, dtype=complex) / 3.0
+        el[where] = el[where[::-1]] = np.nan
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(el, hermitian=hermitian)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_infinite_entries_are_typed(self):
+        el = np.eye(3, dtype=complex) / 3.0
+        el[0, 1] = el[1, 0] = np.inf
+        with pytest.raises(ValueError, match="Hermiticity"):
+            DensityMatrix(el)
+        with pytest.raises(EigSolverFailure):
+            DensityMatrix(el, hermitian=True)
+
+    def test_solver_failures_are_typed(self, rng, monkeypatch):
+        # every eigensolver call of a state goes through `hermitian_eigh`
+        from kerrosc.measures import bures_distance
+
+        rho, sigma = random_density(rng, dim=6), random_density(rng, dim=6)
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for call in (
+            lambda: hermitian_eigh(rho.elements),
+            lambda: DensityMatrix(rho.elements),
+            lambda: rho.eigenpairs,
+            lambda: rho.leading_root(4),
+            lambda: bures_distance(rho, sigma),
+        ):
+            with pytest.raises(EigSolverFailure, match="did not converge"):
+                call()
 
     def test_trusted_path_keeps_the_array(self, rng):
         el = np.array(random_density(rng, dim=12).elements)

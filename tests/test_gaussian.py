@@ -88,6 +88,29 @@ class TestClassicalSteadyAmplitude:
         with pytest.raises(UnstableLinearization):
             classical_steady_amplitude(params)
 
+    def test_tiny_kerr_gives_the_linear_loss_limit(self):
+        # 4 G^2 underflows to 0 at G = 1e-300
+        params = OscillatorParams(pump=2.0 + 1.0j, kerr=1e-300, loss=0.5)
+        assert classical_steady_amplitude(params) == pytest.approx(4.0 + 2.0j, abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_intensity_is_scale_free(self, ref_params, scale):
+        # scaling p, G and gamma0 together leaves alpha unchanged, though
+        # every square of a rate under- or overflows
+        params = OscillatorParams(
+            pump=ref_params.pump * scale, kerr=ref_params.kerr * scale,
+            loss=ref_params.loss * scale,
+        )
+        assert classical_steady_amplitude(params) == pytest.approx(
+            classical_steady_amplitude(ref_params), rel=1e-13
+        )
+
+    @pytest.mark.parametrize("kerr,loss", [(0.0, 1e-320), (1.0, 0.0)])
+    def test_intensity_past_the_double_range_is_typed(self, kerr, loss):
+        params = OscillatorParams(pump=1e200 if loss == 0.0 else 1.0, kerr=kerr, loss=loss)
+        with pytest.raises(UnstableLinearization, match="double range"):
+            classical_steady_amplitude(params)
+
 
 class TestSteadyMeanEstimate:
     @pytest.mark.parametrize("pump", [0.0j, 5.0 + 0.0j, 2.0 - 3.0j])

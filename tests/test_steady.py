@@ -314,6 +314,16 @@ class TestSteadyParams:
         with pytest.raises(KerrZero):
             SteadyParams.from_params(OscillatorParams(pump=1.0 + 0j, kerr=0.0, loss=1.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kerr,loss", [(1e-300, 1.0), (1.0, 1e-320)], ids=["tiny_kerr", "tiny_loss"]
+    )
+    def test_out_of_range_series_is_typed(self, kerr, loss):
+        # |eps|^2 = 1e600 leaves the double range; a subnormal lam puts the
+        # first series term at 1/0: both are typed, with no numpy warning
+        with pytest.raises(NonconvergenceWithinMaxTerms):
+            SteadyParams.from_params(OscillatorParams(pump=1.0 + 0j, kerr=kerr, loss=loss))
+
 
 class TestSteadyDensity:
     def test_frozen_reference_scalars(self, steady_rho):
