@@ -96,7 +96,6 @@ from .fock import (
 from .gaussian import (
     GaussianState,
     LinearizedCoeffs,
-    SteadyComparison,
     StrongPumpEstimates,
     classical_steady_amplitude,
     gaussian_entropy_purity,
@@ -107,6 +106,7 @@ from .gaussian import (
     gaussian_x,
     linearized_coeffs,
     steady_noise_moments,
+    steady_table,
     strong_pump_estimates,
 )
 from .measures import (
@@ -131,7 +131,7 @@ from .quasidist import (
     gaussian_quasidistribution,
     quasidistribution,
 )
-from .runner import RunReport, render_grid, run_scenario, steady_table
+from .runner import RunReport, render_grid, run_scenario
 from .steady import (
     SteadyParams,
     complex_gamma,

@@ -16,8 +16,8 @@ from pathlib import Path
 from .config import canonical_text, validate_config
 from .errors import ConfigInvalid, IoError, KerrOscError
 from .fock import FockCutoff, OscillatorParams, default_cutoff
-from .gaussian import steady_mean_estimate
-from .runner import render_grid, run_scenario, steady_table
+from .gaussian import steady_mean_estimate, steady_table
+from .runner import render_grid, run_scenario
 from .version import __version__
 
 

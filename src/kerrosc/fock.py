@@ -147,8 +147,9 @@ class DensityMatrix:
         el = self.elements if hermitian else np.array(self.elements, dtype=complex, copy=True)
         if el.ndim != 2 or el.shape[0] != el.shape[1] or el.shape[0] < 2:
             raise ValueError("elements must be a square matrix of dimension >= 2")
-        # each check is written so that NaN fails it
-        herm = 0.0 if hermitian else float(np.max(np.abs(el - el.conj().T)))
+        # each check is written so that NaN fails it, the NaN of inf - inf too
+        with np.errstate(invalid="ignore"):
+            herm = 0.0 if hermitian else float(np.max(np.abs(el - el.conj().T)))
         if not herm <= _HERM_TOL:
             raise ValueError(f"Hermiticity defect {herm:.3e} exceeds {_HERM_TOL}")
         tr = complex(np.trace(el))
@@ -322,12 +323,6 @@ def density_from_pure(psi: StateVector) -> DensityMatrix:
 def annihilation_matrix(cutoff: FockCutoff) -> np.ndarray:
     """Annihilation operator a with (a)_{n-1,n} = sqrt(n) on the truncated basis."""
     return np.diag(np.sqrt(np.arange(1, cutoff.dim, dtype=float)), 1).astype(complex)
-
-
-def _hermitize(raw: np.ndarray) -> np.ndarray:
-    """(rho + rho^dag)/2, renormalized to unit trace (no drift guard)."""
-    sym = 0.5 * (raw + raw.conj().T)
-    return sym / np.trace(sym).real
 
 
 def leading_block(x: np.ndarray, d: int) -> np.ndarray:

@@ -65,12 +65,7 @@ from .fock import (
     fock_state,
     leading_block,
 )
-from .gaussian import (
-    gaussian_vs_exact_report,
-    steady_mean_estimate,
-    steady_record,
-    strong_pump_estimates,
-)
+from .gaussian import gaussian_vs_exact_report, steady_mean_estimate, steady_table
 from .measures import (
     MomentSet,
     bures_distance,
@@ -465,25 +460,6 @@ _TIMESERIES_COLUMNS = [
 ]
 
 
-def steady_table(
-    params: OscillatorParams, cutoff: FockCutoff
-) -> tuple[list[str], list[list]]:
-    """Rows (label, exact, gaussian, crude) for the steady-state report.
-
-    The exact and Gaussian columns come from `steady_record`, the crude
-    column from the strong-pump limit; entries without a counterpart are None.
-    """
-    record = steady_record(params, cutoff)
-    est = strong_pump_estimates()
-    crude = {"entropy": est.entropy, "linear_entropy": est.linear_entropy,
-             "squeeze_S": est.squeeze_S, "fano_F": est.fano_F, "x": est.x}
-    crude.update((f"p{k}", w) for k, w in enumerate(est.weights))
-    labels = ["mean_n", "entropy", "linear_entropy", "squeeze_S", "fano_F", "x",
-              "leading_eig_squeeze"] + [f"p{k}" for k in range(10)]
-    rows = [[q, record.exact.get(q), record.gaussian.get(q), crude.get(q)] for q in labels]
-    return ["quantity", "exact", "gaussian", "crude"], rows
-
-
 def _write_grid_file(
     path: Path,
     header: list[str],
@@ -614,22 +590,11 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunReport:
                 columns += ["noise_B", "re_noise_C", "im_noise_C"]
             _write_csv(emit(f"{config.name}_classical.csv"), header, columns, rows)
         elif isinstance(spec, SteadyReportOutput):
-            cols, rows = steady_table(params, cutoff)
-            _write_csv(emit(f"{config.name}_steady_report.csv"), header, cols, rows)
+            _write_csv(emit(f"{config.name}_steady_report.csv"), header,
+                       *steady_table(params, cutoff))
         elif isinstance(spec, GaussianReportOutput):
-            report = gaussian_vs_exact_report(params, cutoff)
-            rows = [
-                [label, e, g, d]
-                for label, e, g, d in zip(
-                    report.labels, report.exact, report.gaussian, report.abs_diff
-                )
-            ]
-            _write_csv(
-                emit(f"{config.name}_gaussian_report.csv"),
-                header,
-                ["quantity", "exact", "gaussian", "abs_diff"],
-                rows,
-            )
+            _write_csv(emit(f"{config.name}_gaussian_report.csv"), header,
+                       *gaussian_vs_exact_report(params, cutoff))
         elif isinstance(spec, DistanceToSteadyOutput):
             _write_csv(
                 emit(f"{config.name}_distance.csv"),

@@ -32,7 +32,7 @@ from .errors import (
     NonconvergenceWithinMaxTerms,
     PoleAtNonpositiveInteger,
 )
-from .fock import DensityMatrix, FockCutoff, OscillatorParams, _hermitize
+from .fock import DensityMatrix, FockCutoff, OscillatorParams
 
 # Lanczos approximation, g = 7, 9 coefficients: relative error around 1e-13
 # over the right half plane.
@@ -305,7 +305,9 @@ def steady_density(params: OscillatorParams, cutoff: FockCutoff) -> DensityMatri
             f"steady assembly drift: |Tr-1| = {trace_dev:.3e}, "
             f"Hermiticity defect = {herm_dev:.3e} (budget 1e-8)"
         )
-    return DensityMatrix(_hermitize(el))
+    # (el + el^dag)/2 is exactly Hermitian, so it takes the trusted path
+    sym = 0.5 * (el + el.conj().T)
+    return DensityMatrix(sym / np.trace(sym).real, hermitian=True)
 
 
 def steady_moment(m: int, n: int, params: OscillatorParams) -> complex:

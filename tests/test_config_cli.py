@@ -683,9 +683,36 @@ class TestSteadyTable:
         # both tables read one exact-versus-Gaussian record
         _, rows = steady_table(ref_params, FockCutoff(40))
         by_label = {r[0]: r for r in rows}
-        report = gaussian_vs_exact_report(ref_params, FockCutoff(40))
-        for label, exact, gauss in zip(report.labels, report.exact, report.gaussian):
+        _, report = gaussian_vs_exact_report(ref_params, FockCutoff(40))
+        for label, exact, gauss, _ in report:
             assert by_label[label][1:3] == [exact, gauss]
+
+    def test_report_files_are_two_views_of_one_record(self, tmp_path):
+        from importlib.resources import files
+
+        text = (files("kerrosc") / "scenarios" / "fig12.yaml").read_text(encoding="ascii")
+        run_scenario(validate_config(text), tmp_path)
+
+        def table(name):
+            lines = (tmp_path / f"fig12_{name}.csv").read_text().splitlines()
+            body = [line.split(",") for line in lines if not line.startswith("#")]
+            return body[0], body[1:]
+
+        columns, steady = table("steady_report")
+        assert columns == ["quantity", "exact", "gaussian", "crude"]
+        assert [r[0] for r in steady] == [
+            "mean_n", "entropy", "linear_entropy", "squeeze_S", "fano_F", "x",
+            "leading_eig_squeeze",
+        ] + [f"p{k}" for k in range(10)]
+        columns, report = table("gaussian_report")
+        assert columns == ["quantity", "exact", "gaussian", "abs_diff"]
+        assert [r[0] for r in report] == [
+            "entropy", "linear_entropy", "squeeze_S", "fano_F", "mean_n",
+        ] + [f"p{k}" for k in range(6)]
+        by_label = {r[0]: r for r in steady}
+        for label, exact, gauss, diff in report:
+            assert by_label[label][1:3] == [exact, gauss]
+            assert diff == "%.17g" % abs(float(exact) - float(gauss))
 
 
 class TestRenderGrid:

@@ -137,7 +137,7 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match=message):
             DensityMatrix(el, hermitian=hermitian)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_infinite_entries_are_typed(self):
         el = np.eye(3, dtype=complex) / 3.0
         el[0, 1] = el[1, 0] = np.inf
