@@ -50,9 +50,11 @@ Without pump the master equation has an exact solution, each diagonal of rho
 evolving on its own; `unpumped_evolve` evaluates it at the sample times, in
 blocks of `_MAP_BLOCK` times, with no integration.
 
-Both engines feed one driver, `_guarded_stream`, which runs the drift,
-tail-mass and positivity guards on each output in time order and hands it to
-a per-sample callback, keeping nothing itself.  An integrator output stays
+Each engine is a plain iterator of `_project`ed samples in time order, each
+with the trace drift removed since the previous one and its step counts.
+One driver, `_guarded_stream`, runs the drift, tail-mass and positivity
+guards on each in time order and hands it to a per-sample callback, keeping
+nothing itself.  An integrator output stays
 at the block that reached it, d x d on the leading levels of the declared
 basis: the guards, and whatever the callback measures, cost what the
 populated levels cost, and the tail mass at the declared cutoff reads 0
@@ -167,12 +169,9 @@ _SHRINK_BY = 4
 # sample times per `_unpumped_map` call, so an exact run holds at most this
 # many raw states whatever its sample count
 _MAP_BLOCK = 64
-# a sample source for `_guarded_stream`: called with the projection, it
-# yields (sample, (steps, rejected, rhs_calls, block, resizes)) in time order
-_Samples = Callable[
-    [Callable[[np.ndarray], np.ndarray]],
-    Iterator[tuple[np.ndarray, tuple[int, int, int, int, int]]],
-]
+# a sample source: (sample, trace drift since the previous sample, (steps,
+# rejected, rhs_calls, block, resizes)) in time order
+_Samples = Iterator[tuple[np.ndarray, float, tuple[int, int, int, int, int]]]
 # default master-equation tolerances of `evolve`, echoed in every artifact header
 RTOL = 1e-8
 ATOL = 1e-10
@@ -270,7 +269,9 @@ class SemiclassicalPath:
 def _initial_step(
     y: np.ndarray, dy: np.ndarray, span: float, rtol: float, atol: float
 ) -> float:
-    """First trial step from the scaled sizes of y and dy/dt, at most `span`."""
+    """First trial step from the scaled sizes of y and dy/dt, at most `span` (rtol, atol > 0)."""
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("rtol and atol must be > 0")
     sc = atol + rtol * np.abs(y)
     d0 = math.sqrt(float(np.mean(np.abs(y / sc) ** 2)))
     d1 = math.sqrt(float(np.mean(np.abs(dy / sc) ** 2)))
@@ -337,8 +338,6 @@ def _adaptive_rk(
     it, and the step size and the first-same-as-last derivative carry on
     into the next segment.
     """
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be > 0")
     n = times.shape[0]
     if n < 2:
         return
@@ -397,48 +396,52 @@ def _block_size(pop: np.ndarray, dim: int) -> int:
     return fit if fit <= d - _SHRINK_BY else d
 
 
+def _project(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """(y + y^dag) / (2 tr y), fresh and exactly Hermitian, and the drift |tr y - 1|."""
+    tr = y.trace().real
+    out = np.conjugate(y.T, order="C")
+    out += y
+    out *= 0.5 / tr
+    return out, abs(tr - 1.0)
+
+
 def _linear_krylov(
-    rhs_at: Callable[[int], Callable[..., np.ndarray]],
-    y: np.ndarray,
+    params: OscillatorParams,
+    rho: np.ndarray,
     times: np.ndarray,
     rtol: float,
     atol: float,
-    project: Callable[[np.ndarray], np.ndarray],
-    blocked: bool = False,
-) -> Iterator[tuple[np.ndarray, tuple[int, int, int, int, int]]]:
-    """The degree-13 Krylov step for a linear autonomous y' = L y, sampled at times[1:].
+) -> _Samples:
+    """The degree-13 Krylov step for d rho/dt = L rho, sampled at times[1:].
 
-    `rhs_at(d)` returns L at size d as `f(x, out=row)`, which writes L x
-    into `row`; it is called once per size.  Integrates from times[0] to
-    times[-1] with the step polynomial `_KRYLOV_C`, the error weights
-    `_KRYLOV_E` and the controller of `_adaptive_rk` at the exponent
-    `_KRYLOV_EXPONENT`, cutting only the last step to end at times[-1].
-    Each accepted step costs 13 RHS calls, for v_2..v_14 of the chain
-    v_j = L^j y.  Yields (sample, (steps, rejected, rhs_calls, block,
-    resizes)) in time order: the accepted steps completed at or before the
-    sample, the rejected trial steps and RHS calls made so far, the size
-    integrated and the resizes so far.  `project` maps every accepted state
-    and every sample read off a step polynomial (for evolve: hermitize and
-    renormalize); a sample at the end of a step is the accepted state
-    itself.
+    Integrates from times[0] to times[-1] with the step polynomial
+    `_KRYLOV_C`, the error weights `_KRYLOV_E` and the controller of
+    `_adaptive_rk` at the exponent `_KRYLOV_EXPONENT`, cutting only the last
+    step to end at times[-1].  Each accepted step costs 13 RHS calls, for
+    v_2..v_14 of the chain v_j = L^j y.  Every accepted state and every
+    sample read off a step polynomial goes through `_project`; a sample at
+    the end of a step is the accepted state itself.  Yields (sample, drift,
+    (steps, rejected, rhs_calls, block, resizes)) in time order: the drift
+    `_project` removed since the previous sample, this one's included, the
+    accepted steps completed at or before the sample, the rejected trial
+    steps and RHS calls made so far, the size integrated and the resizes.
 
-    With `blocked`, y is a dim x dim density matrix, and only its leading
-    d x d block is integrated, d from `_block_size` at t = 0 and again after
-    every accepted step but the last; without it, y is a generic array,
-    integrated whole.  A principal block of a positive state is positive,
-    and growing pads with zeros.  A resize restarts the chain at one RHS
-    call.  Samples are d x d, the block that reached them; padding them
-    back to dim is the caller's choice.  Resizes look only at accepted
-    states, so the steps do not depend on the grid.  |y|, the weighted sums
-    over the chain and the error norm work in buffers allocated once per
-    block.
+    Only the leading d x d block of the dim x dim density matrix rho is
+    integrated, d from `_block_size` at t = 0 and again after every accepted
+    step but the last, with L from `liouvillian_generator(params, d)`, built
+    once per size.  A principal block of a positive state is positive, and
+    growing pads with zeros.  A resize restarts the chain at one RHS call.
+    Samples are d x d, the block that reached them; padding them back to
+    dim is the caller's choice.  Resizes look only at accepted states, so
+    the steps do not depend on the grid.  |y|, the weighted sums over the
+    chain and the error norm work in buffers allocated once per block.
     """
     n = times.shape[0]
     if n < 2:
         return
     t, t_end = float(times[0]), float(times[-1])
     h_min = 1e-14 * max(1.0, abs(t_end))
-    full = y.shape
+    dim = rho.shape[0]
     rhs: dict[int, Callable[..., np.ndarray]] = {}
 
     def restart(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -448,7 +451,7 @@ def _linear_krylov(
         # norm's two rows.
         d = x.shape[0]
         if d not in rhs:
-            rhs[d] = rhs_at(d)
+            rhs[d] = liouvillian_generator(params, d)
         f = rhs[d]
         chain = np.empty((_CHAIN,) + x.shape, dtype=complex)
         chain[0] = x
@@ -457,15 +460,15 @@ def _linear_krylov(
         prod = np.empty((3, flat.shape[1]))
         return chain, flat, f, np.empty(x.shape), prod, np.empty((2,) + x.shape)
 
-    if blocked:
-        y = leading_block(y, _block_size(y.diagonal().real, full[0]))
+    y = leading_block(rho, _block_size(rho.diagonal().real, dim))
+    d = y.shape[0]
     chain, flat, f, abs_y, prod, work = restart(y)
-    shape = y.shape
     calls = 1
     h = _initial_step(y, chain[1], t_end - t, rtol, atol)
     weights = np.empty_like(_KRYLOV_W)
 
     steps = rejected = resizes = 0
+    drift = 0.0
     idx = 1
     stale = True
     while t < t_end:
@@ -484,30 +487,33 @@ def _linear_krylov(
         np.power(h, _KRYLOV_W_EXP, out=weights)
         weights *= _KRYLOV_W
         np.matmul(weights, flat, out=prod)
-        y_new, err_vec, fsal = prod.view(complex).reshape((3,) + shape)
+        y_new, err_vec, fsal = prod.view(complex).reshape(3, d, d)
         err = _error_norm(err_vec, abs_y, y_new, rtol, atol, work)
         if err <= 1.0:
             t_new = t_end if last else t + h
             while idx < n and times[idx] < t_new:
                 s = float(times[idx]) - t
                 sample = ((_KRYLOV_C * s**_KRYLOV_POWERS) @ flat[:-1]).view(complex)
-                counts = (steps, rejected, calls, shape[0], resizes)
-                yield project(sample.reshape(shape)), counts
+                sample, trace_error = _project(sample.reshape(d, d))
+                yield sample, drift + trace_error, (steps, rejected, calls, d, resizes)
+                drift = 0.0
                 idx += 1
-            y = project(y_new)
+            y, trace_error = _project(y_new)
+            drift += trace_error
             steps += 1
             t = t_new
             stale = True
             if idx < n and times[idx] == t:
-                yield y, (steps, rejected, calls, shape[0], resizes)
+                yield y, drift, (steps, rejected, calls, d, resizes)
+                drift = 0.0
                 idx += 1
-            d = _block_size(y.diagonal().real, full[0]) if blocked and t < t_end else shape[0]
-            if d == shape[0]:
+            size = _block_size(y.diagonal().real, dim) if t < t_end else d
+            if size == d:
                 chain[0] = y
                 chain[1] = fsal
             else:
+                d = size
                 chain, flat, f, abs_y, prod, work = restart(leading_block(y, d))
-                shape = (d, d)
                 calls += 1
                 resizes += 1
         else:
@@ -594,20 +600,18 @@ def _guarded_stream(
     The one driver of every evolution: `on_sample(t, state, diagnostics)`
     sees each output in time order, and the last `StepDiagnostics` is
     returned.  Nothing is kept here, so a caller that keeps no states runs
-    in memory independent of the sample count.  `samples(project)` yields
-    (sample, (steps, rejected, rhs_calls, block, resizes)) in time order,
-    the counts of `StepDiagnostics`.  A sample is a d x d array on the
-    leading d levels of rho0's basis, d <= rho0.dim; with `pad` it is
-    zero-padded to rho0.dim before the checks, otherwise it is checked and
-    handed on at its own size, so the per-sample work follows the
-    integrated block.  `project` hermitizes and renormalizes a raw state
-    and adds its |trace - 1| to the drift of the current output segment;
-    every state a source produces (for the integrator, each accepted step as
-    well as each sample) goes through it, and every sample it yields is a
-    `project` output.  Those are fresh and exactly Hermitian, so each
+    in memory independent of the sample count.  `samples` is a plain
+    iterator of (sample, drift, (steps, rejected, rhs_calls, block,
+    resizes)) in time order: a `_project` output, the |trace - 1| that
+    `_project` removed over the segment since the previous sample (for the
+    integrator, each accepted step as well as the sample), and the counts
+    of `StepDiagnostics`.  A sample is fresh and exactly Hermitian, so it
     becomes a `DensityMatrix` on the trusted path, without a copy or a
-    Hermiticity scan.  At each output, in time order:
-    the drift since the previous output must stay below 1e-8 per unit time
+    Hermiticity scan.  It is a d x d array on the leading d levels of rho0's
+    basis, d <= rho0.dim; with `pad` it is zero-padded to rho0.dim before
+    the checks, otherwise it is checked and handed on at its own size, so
+    the per-sample work follows the integrated block.  At each output, in
+    time order: the drift must stay below 1e-8 per unit time
     (else `DriftTooLarge`), the population within `_TAIL_MARGIN` entries of
     the declared truncation edge below 1e-6 (else `CutoffExceeded`; 0 while
     d <= dim - `_TAIL_MARGIN`), and the sample must then pass the
@@ -616,16 +620,6 @@ def _guarded_stream(
     """
     dim = rho0.dim
     edge = dim - min(_TAIL_MARGIN, dim - 1)
-    drift_acc = 0.0
-
-    def project(y: np.ndarray) -> np.ndarray:
-        nonlocal drift_acc
-        tr = y.trace().real
-        drift_acc += abs(tr - 1.0)
-        out = np.conjugate(y.T, order="C")
-        out += y
-        out *= 0.5 / tr
-        return out
 
     def tail(y: np.ndarray) -> float:
         # the diagonal from the declared edge on; empty for a smaller block
@@ -634,12 +628,12 @@ def _guarded_stream(
     times = grid.times
     diag = StepDiagnostics(0.0, tail(rho0.elements), 0, 0, 0, 0, 0, float(rho0.spectrum[0]))
     on_sample(float(times[0]), rho0, diag)
-    for idx, (y, counts) in enumerate(samples(project), start=1):
+    for idx, (y, drift, counts) in enumerate(samples, start=1):
         ta, tb = float(times[idx - 1]), float(times[idx])
         budget = 1e-8 * max(1.0, tb - ta)
-        if drift_acc > budget:
+        if drift > budget:
             raise DriftTooLarge(
-                f"trace drift {drift_acc:.3e} over [{ta:.6g}, {tb:.6g}] "
+                f"trace drift {drift:.3e} over [{ta:.6g}, {tb:.6g}] "
                 f"exceeds budget {budget:.3e}"
             )
         if pad:
@@ -655,9 +649,8 @@ def _guarded_stream(
             state = DensityMatrix(y, hermitian=True)
         except ValueError as exc:
             raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
-        diag = StepDiagnostics(drift_acc, tm, *counts, float(state.spectrum[0]))
+        diag = StepDiagnostics(drift, tm, *counts, float(state.spectrum[0]))
         on_sample(tb, state, diag)
-        drift_acc = 0.0
     return diag
 
 
@@ -672,19 +665,6 @@ def _collect(rho0: DensityMatrix, grid: TimeGrid, samples: _Samples) -> Trajecto
 
     _guarded_stream(rho0, grid, samples, keep, pad=True)
     return Trajectory(times=grid, states=tuple(states), diagnostics=tuple(diags))
-
-
-def _krylov_samples(
-    rho0: DensityMatrix, params: OscillatorParams, grid: TimeGrid, rtol: float, atol: float
-) -> _Samples:
-    """The sample source of `evolve`: one `_linear_krylov` integration on the populated block."""
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be > 0")
-    y0 = np.array(rho0.elements, dtype=complex)
-    return lambda project: _linear_krylov(
-        lambda d: liouvillian_generator(params, d), y0, grid.times, rtol, atol, project,
-        blocked=True,
-    )
 
 
 def evolve(
@@ -713,7 +693,7 @@ def evolve(
     block resizes made so far, and gives the block integrated.  Every state is kept, so
     memory grows with the sample count; `stream_evolution` keeps none.
     """
-    return _collect(rho0, grid, _krylov_samples(rho0, params, grid, rtol, atol))
+    return _collect(rho0, grid, _linear_krylov(params, rho0.elements, grid.times, rtol, atol))
 
 
 def _unpumped_map(
@@ -785,20 +765,17 @@ def _unpumped_map(
 
 
 def _unpumped_samples(rho0: DensityMatrix, params: OscillatorParams, grid: TimeGrid) -> _Samples:
-    """The sample source of `unpumped_evolve`: `_unpumped_map` in blocks of sample times.
+    """The exact-map sample source: `_unpumped_map` in blocks of sample times.
 
-    At most `_MAP_BLOCK` states are held at once, whatever the sample count.
+    Yields each `_project`ed state at grid.times[1:] with its drift and
+    zero counts.  At most `_MAP_BLOCK` raw states are held at once, whatever
+    the sample count.
     """
-    if params.pump != 0:
-        raise PumpNotZero(f"the exact map needs pump = 0, got {params.pump}")
     times = grid.times[1:]
-
-    def samples(project):
-        for first in range(0, times.shape[0], _MAP_BLOCK):
-            for y in _unpumped_map(rho0.elements, params, times[first : first + _MAP_BLOCK]):
-                yield project(y), (0, 0, 0, 0, 0)
-
-    return samples
+    for first in range(0, times.shape[0], _MAP_BLOCK):
+        for y in _unpumped_map(rho0.elements, params, times[first : first + _MAP_BLOCK]):
+            sample, drift = _project(y)
+            yield sample, drift, (0, 0, 0, 0, 0)
 
 
 def unpumped_evolve(
@@ -812,6 +789,8 @@ def unpumped_evolve(
     is hermitized, renormalized and checked exactly as in `evolve`, and
     every `StepDiagnostics` count is 0.  Raises `PumpNotZero` for pump != 0.
     """
+    if params.pump != 0:
+        raise PumpNotZero(f"the exact map needs pump = 0, got {params.pump}")
     return _collect(rho0, grid, _unpumped_samples(rho0, params, grid))
 
 
@@ -825,7 +804,8 @@ def stream_evolution(
 
     The engine rule of a scenario run: without pump the exact map of
     `unpumped_evolve`, otherwise the Krylov integration of `evolve` at the
-    default tolerances.  Each output passes the same guards and raises the
+    default tolerances.  Either engine is a plain iterator of samples, read
+    by `_guarded_stream`: each output passes the same guards and raises the
     same errors as there, reaches `on_sample(t, state, diagnostics)` in time
     order, and the last `StepDiagnostics` is returned.  Memory does not grow
     with the sample count unless `on_sample` keeps the states.
@@ -842,7 +822,7 @@ def stream_evolution(
     if params.pump == 0:
         samples = _unpumped_samples(rho0, params, grid)
     else:
-        samples = _krylov_samples(rho0, params, grid, RTOL, ATOL)
+        samples = _linear_krylov(params, rho0.elements, grid.times, RTOL, ATOL)
     return _guarded_stream(rho0, grid, samples, on_sample)
 
 

@@ -341,8 +341,8 @@ def leading_block(x: np.ndarray, d: int) -> np.ndarray:
 def tail_mass(rho: DensityMatrix | np.ndarray, margin: int) -> float:
     """Probability in the last `margin` diagonal entries (truncation monitor).
 
-    Also takes a raw square array, so an integrator can check the tail before
-    the `DensityMatrix` positivity check.
+    Takes a `DensityMatrix` or a raw square array.  The evolution guards do
+    not call it: they read the tail at the declared cutoff of a block state.
     """
     el = rho.elements if isinstance(rho, DensityMatrix) else rho
     dim = el.shape[0]

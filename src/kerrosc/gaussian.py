@@ -96,22 +96,20 @@ def classical_steady_amplitude(params: OscillatorParams) -> complex:
         )
     # I is scale-free, so it is found in units of the larger rate: there
     # a = gamma0/s and b = 2|G|/s, one of them 1, and no square underflows
-    # at tiny rates
+    # at tiny rates.  For large q the same cubic is solved for J = I / 4^j,
+    # q scaled by 8^-j and a by 4^-j (exact powers of two), so q^2 cannot
+    # overflow; j >= 0 keeps a <= 1, so the bracket below stays >= q^2.
     s = max(g0, 2.0 * abs(g))
-    a, b, q = g0 / s, 2.0 * abs(g) / s, abs(p) / s
+    j = max(math.frexp(abs(p) / s)[1] // 3, 0)
+    a, b, q = math.ldexp(g0 / s, -2 * j), 2.0 * abs(g) / s, math.ldexp(abs(p) / s, -3 * j)
     target = q * q
-    # f(I) = (a^2 + b^2 I^2) I - q^2 is strictly increasing, and >= 0 both
+    # f(J) = (a^2 + b^2 J^2) J - q^2 is strictly increasing, and >= 0 both
     # at (q/a)^2 and at (q/b)^(2/3): the smaller one brackets the root
     ratio = q / a if a > 0.0 else math.inf
     hi = ratio * ratio
     if b > 0.0:
         hi = min(hi, (q / b) ** (2.0 / 3.0))
-    if not (math.isfinite(hi) and math.isfinite(target)):
-        raise UnstableLinearization(
-            f"the stationary intensity at pump {p}, kerr {g} and loss {g0} "
-            "exceeds the double range"
-        )
-    if b == 0.0:
+    if b == 0.0 or not math.isfinite(hi):
         intensity = hi
     else:
         # bisect the bracket and polish with Newton
@@ -133,6 +131,12 @@ def classical_steady_amplitude(params: OscillatorParams) -> complex:
         for _ in range(4):
             deriv = a * a + 3.0 * (b * intensity) * (b * intensity)
             intensity -= f(intensity) / deriv
+    intensity *= 4.0**j
+    if not math.isfinite(intensity):
+        raise UnstableLinearization(
+            f"the stationary intensity at pump {p}, kerr {g} and loss {g0} "
+            "exceeds the double range"
+        )
     return p / (g0 + 2j * g * intensity)
 
 

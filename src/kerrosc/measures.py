@@ -249,7 +249,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     rho may be smaller than sigma, read as zero beyond its leading block as
     in `bures_distance`.  The cross term Tr(rho ln sigma) is one inner
     product with sigma's cached `log_matrix`, its eigenvalues floored at
-    1e-12.  If rho puts more than 1e-6 of its weight on sigma's eigenvectors
+    `LOG_FLOOR` = 1e-12; the self term Tr(rho ln rho) floors rho's whole
+    spectrum at the same value, so D(sigma, sigma) is 0 to round-off.  If rho puts more than 1e-6 of its weight on sigma's eigenvectors
     below the floor, Tr(rho P) with sigma's cached `null_projector` P, the
     quantity is effectively infinite and a SupportMismatch is raised.  Past
     the target's first call, the cost is O(dim^2) plus rho's own spectrum.
@@ -261,7 +262,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             f"rho weight {outside:.3e} on near-null sigma subspace (> 1e-6)"
         )
     cross = _trace_product(sigma.log_matrix, rho)
-    rw = rho.spectrum[rho.spectrum > LOG_FLOOR]
-    self_term = float(np.sum(rw * np.log(rw)))
+    w = rho.spectrum
+    self_term = float(np.sum(w * np.log(np.maximum(w, LOG_FLOOR))))
     d = self_term - cross
     return 0.0 if -1e-9 < d < 0.0 else d

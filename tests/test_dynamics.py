@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,7 @@ from kerrosc.dynamics import (
     _guarded_stream,
     _initial_step,
     _linear_krylov,
+    _project,
     classical_path,
     evolve,
     kerr_lossless_evolve,
@@ -271,9 +273,10 @@ class TestEvolveDiagnostics:
         bad[0, 0], bad[1, 1] = 1.0 + 1e-6, -1e-6
         seen: list[float] = []
 
-        def samples(project):
-            yield project(np.array(rho0.elements)), (1, 0, 14, 46, 0)
-            yield project(bad), (2, 0, 27, 46, 0)
+        samples = (
+            (*_project(y), counts)
+            for y, counts in [(np.array(rho0.elements), (1, 0, 14, 46, 0)), (bad, (2, 0, 27, 46, 0))]
+        )
 
         with pytest.raises(PositivityLost, match="minimum eigenvalue -1.000e-06") as info:
             _guarded_stream(rho0, grid, samples, lambda t, state, diag: seen.append(t))
@@ -601,20 +604,10 @@ class TestAdaptiveRK:
         )
 
 
-def _linear(apply: Callable[[np.ndarray], np.ndarray]) -> Callable[..., np.ndarray]:
-    """`apply` as a right-hand side that can also write into `out`."""
-
-    def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return apply(y)
-        out[...] = apply(y)
-        return out
-
-    return f
-
-
-def _identity(y: np.ndarray) -> np.ndarray:
-    return y
+def _dense_generator(params: OscillatorParams, d: int) -> np.ndarray:
+    """L at size d as a dense (d^2, d^2) matrix on the flattened rho, column by column."""
+    rhs = liouvillian_generator(params, d)
+    return np.stack([rhs(unit.reshape(d, d)).ravel() for unit in np.eye(d * d, dtype=complex)], 1)
 
 
 def _stable_radius(coeffs: np.ndarray, degrees: float) -> float:
@@ -651,42 +644,53 @@ class TestKrylovDP5:
         assert dynamics._KRYLOV_EXPONENT == -1.0 / 9.0
 
     def test_one_step_matches_stage_form(self):
-        # one accepted step and a sample inside it, each against
-        # sum_j c_j (sL)^j y0 from dense powers of L
-        rng = np.random.default_rng(6)
-        lmat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        # one accepted step and a sample inside it on the populated block of
+        # a state at n_cut 90, each against sum_j c_j (sL)^j y0 from powers
+        # of the dense L, the matrix the stencil applies
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+        rho0 = density_from_pure(coherent_state(1.0, FockCutoff(90)))
+        d = dynamics._block_size(rho0.elements.diagonal().real, 91)
+        assert d < 91
+        y0 = rho0.elements[:d, :d]
+        lmat = _dense_generator(params, d)
         rtol, atol = 1e-8, 1e-10
         # grid end at the first trial step: one step, with a sample inside it
-        h = _initial_step(y0, lmat @ y0, 1.0, rtol, atol)
+        h = _initial_step(y0, (lmat @ y0.ravel()).reshape(d, d), 1.0, rtol, atol)
         times = np.array([0.0, h / 3, h])
-        out = list(
-            _linear_krylov(lambda n: _linear(lambda y: lmat @ y), y0, times, rtol, atol, _identity)
-        )
-        assert [counts[0] for _, counts in out] == [0, 1]
-        for (got, _), t in zip(out, times[1:]):
-            ref = sum(
-                c * np.linalg.matrix_power(float(t) * lmat, j) @ y0
-                for j, c in enumerate(_KRYLOV_C)
-            )
-            assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+        out = list(_linear_krylov(params, rho0.elements, times, rtol, atol))
+        assert [counts[0] for _, _, counts in out] == [0, 1]
+        assert all(counts[3] == d for _, _, counts in out)
+        for (got, _, _), t in zip(out, times[1:]):
+            ref, power = 0.0, y0.ravel()
+            for c in _KRYLOV_C:
+                ref, power = ref + c * power, float(t) * (lmat @ power)
+            assert got.shape == (d, d)
+            assert float(np.max(np.abs(got.ravel() - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
     def test_samples_match_exponential(self):
-        lam = np.array([-1.0, 0.3 - 1.5j, -0.05 + 4.0j])
-        y0 = np.array([2.0 + 0.0j, -1.0 + 1.0j, 0.5j])
+        # at n_cut 10 the block is the whole matrix, so exp(tL) of the dense
+        # L is the exact reference at every sample: on the uniform grid,
+        # y0 times successive powers of exp(L dt)
+        params = OscillatorParams(pump=1.0 - 0.5j, kerr=0.3, loss=0.4)
+        rho0 = density_from_pure(coherent_state(0.8 + 0.4j, FockCutoff(10)))
+        y0 = rho0.elements.ravel()
+        lmat = _dense_generator(params, 11)
         rtol, atol = 1e-9, 1e-12
         times = np.linspace(0.0, 2.5, 101)
-        f = _linear(lambda y: lam * y)
-        out = list(_linear_krylov(lambda n: f, y0, times, rtol, atol, _identity))
+        out = list(_linear_krylov(params, rho0.elements, times, rtol, atol))
         assert len(out) == 100
-        for (got, _), t in zip(out, times[1:]):
-            np.testing.assert_allclose(got, y0 * np.exp(lam * t), rtol=20 * rtol, atol=atol)
+        assert all(counts[3:] == (11, 0) for _, _, counts in out)
+        step = scipy.linalg.expm(float(times[1]) * lmat)
+        ref = y0
+        for got, _, _ in out:
+            ref = step @ ref
+            np.testing.assert_allclose(got.ravel(), ref, rtol=20 * rtol, atol=atol)
         # samples do not cut steps: the same integration sampled only at
         # the end takes the same steps and ends in the same state
-        (end, end_counts), = _linear_krylov(lambda n: f, y0, times[[0, -1]], rtol, atol, _identity)
-        assert out[-1][1] == end_counts
+        (end, _, end_counts), = _linear_krylov(params, rho0.elements, times[[0, -1]], rtol, atol)
+        assert out[-1][2] == end_counts
         assert np.array_equal(out[-1][0], end)
-        counts = [c[0] for _, c in out]
+        counts = [c[0] for _, _, c in out]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_final_state_independent_of_sampling(self):

@@ -104,11 +104,23 @@ class TestClassicalSteadyAmplitude:
             classical_steady_amplitude(ref_params), rel=1e-13
         )
 
-    @pytest.mark.parametrize("kerr,loss", [(0.0, 1e-320), (1.0, 0.0)])
+    @pytest.mark.parametrize("kerr,loss", [(0.0, 1e-320), (1e-300, 0.0)])
     def test_intensity_past_the_double_range_is_typed(self, kerr, loss):
-        params = OscillatorParams(pump=1e200 if loss == 0.0 else 1.0, kerr=kerr, loss=loss)
+        # I = 1e640 without kerr; at p = 1e300 and G = 1e-300 even
+        # q = |p| / 2|G| overflows
+        params = OscillatorParams(pump=1e300 if loss == 0.0 else 1.0, kerr=kerr, loss=loss)
         with pytest.raises(UnstableLinearization, match="double range"):
             classical_steady_amplitude(params)
+
+    def test_intensity_near_the_top_of_the_double_range(self):
+        # q^2 = 2.5e399 overflows, but I = q^(2/3) fits, and alpha =
+        # p / (2iGI); the cube root of (5e199)^2 to 40 digits is
+        # 1.357208808297453258373e133 (a double 2/3 exponent is 1.7e-14 off)
+        params = OscillatorParams(pump=1e200 + 0.0j, kerr=1.0, loss=0.0)
+        alpha = classical_steady_amplitude(params)
+        intensity = 1.357208808297453258373e133
+        assert abs(alpha) ** 2 == pytest.approx(intensity, rel=1e-14)
+        assert alpha == pytest.approx(-0.5j * 1e200 / intensity, rel=1e-14)
 
 
 class TestSteadyMeanEstimate:

@@ -18,7 +18,7 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import REF_PARAMS, random_density
 from kerrosc.errors import (
     DimensionMismatch,
     NegativeDiagonal,
@@ -26,6 +26,7 @@ from kerrosc.errors import (
     VacuumLimitWarning,
 )
 from kerrosc.fock import (
+    LOG_FLOOR,
     DensityMatrix,
     FockCutoff,
     annihilation_matrix,
@@ -47,6 +48,7 @@ from kerrosc.measures import (
     squeezing,
     von_neumann_entropy,
 )
+from kerrosc.steady import steady_density
 
 
 def embedded(rho: DensityMatrix, dim: int) -> DensityMatrix:
@@ -277,6 +279,16 @@ class TestDistances:
             ).real
         )
         assert relative_entropy(rho, sigma) == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("n_cut", [45, 90])
+    def test_relative_entropy_of_the_steady_state_with_itself(self, n_cut):
+        # the bundled stationary state has eigenvalues below LOG_FLOOR (38 at
+        # n_cut 45); the self and cross terms floor them alike, so the
+        # distance is 0 to round-off, not the 2.09e-11 their weight times
+        # -ln(LOG_FLOOR) gave when the self term dropped them
+        sigma = steady_density(REF_PARAMS, FockCutoff(n_cut))
+        assert np.count_nonzero(sigma.spectrum < LOG_FLOOR) > 0
+        assert abs(relative_entropy(sigma, sigma)) <= 1e-14
 
     def test_relative_entropy_nonnegative(self, rng):
         rho, sigma = random_density(rng, dim=6), random_density(rng, dim=6)
