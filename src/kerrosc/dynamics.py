@@ -11,7 +11,10 @@ tridiagonal and a bidiagonal in the Fock basis, so the right-hand side is a
 stencil on the flattened rho, flat index m*dim + n: a diagonal factor plus five
 bands, each one elementwise product with a contiguous shifted slice (offsets
 -dim, +dim, +1, -1 and dim+1), with the coefficients zeroed where a column shift
-would wrap into the next row.  There are no dense matrix products.
+would wrap into the next row.  There are no dense matrix products.  The
+stencil is bound to the buffer it works in: `liouvillian_generator(params,
+chain)` builds the bands and the flat views of each pair of rows once per
+chain buffer, and the RHS call `step(j)` writes chain[j] = L chain[j-1].
 
 The master equation is linear and autonomous, d rho/dt = L rho, so an explicit
 Runge-Kutta step of size h is a polynomial in hL (Hairer, Norsett & Wanner,
@@ -428,13 +431,16 @@ def _linear_krylov(
 
     Only the leading d x d block of the dim x dim density matrix rho is
     integrated, d from `_block_size` at t = 0 and again after every accepted
-    step but the last, with L from `liouvillian_generator(params, d)`, built
-    once per size.  A principal block of a positive state is positive, and
-    growing pads with zeros.  A resize restarts the chain at one RHS call.
-    Samples are d x d, the block that reached them; padding them back to
-    dim is the caller's choice.  Resizes look only at accepted states, so
-    the steps do not depend on the grid.  |y|, the weighted sums over the
-    chain and the error norm work in buffers allocated once per block.
+    step but the last.  The chain buffer is allocated at the start and at
+    each resize, and L is built once per buffer, by
+    `liouvillian_generator(params, chain)`: the RHS call `f(j)` writes
+    chain[j] = L chain[j-1] through views bound to it.  A principal block
+    of a positive state is positive, and growing pads with zeros.  A resize
+    restarts the chain at one RHS call.  Samples are d x d, the block that
+    reached them; padding them back to dim is the caller's choice.  Resizes
+    look only at accepted states, so the steps do not depend on the grid.
+    |y|, the weighted sums over the chain and the error norm work in
+    buffers allocated once per block.
     """
     n = times.shape[0]
     if n < 2:
@@ -442,20 +448,16 @@ def _linear_krylov(
     t, t_end = float(times[0]), float(times[-1])
     h_min = 1e-14 * max(1.0, abs(t_end))
     dim = rho.shape[0]
-    rhs: dict[int, Callable[..., np.ndarray]] = {}
 
     def restart(x: np.ndarray) -> tuple[np.ndarray, ...]:
-        # chain[j] = L^j x, complex; its real view makes every weighted sum
-        # over the chain one real product with (_CHAIN, 2N) rows.  With it come
-        # the buffers of this size: |x|, the (3, 2N) product and the error
-        # norm's two rows.
-        d = x.shape[0]
-        if d not in rhs:
-            rhs[d] = liouvillian_generator(params, d)
-        f = rhs[d]
+        # chain[j] = L^j x, complex, with f(j) = L bound to it; its real view
+        # makes every weighted sum over the chain one real product with
+        # (_CHAIN, 2N) rows.  With it come the buffers of this size: |x|, the
+        # (3, 2N) product and the error norm's two rows.
         chain = np.empty((_CHAIN,) + x.shape, dtype=complex)
         chain[0] = x
-        f(chain[0], out=chain[1])
+        f = liouvillian_generator(params, chain)
+        f(1)
         flat = chain.view(float).reshape(_CHAIN, -1)
         prod = np.empty((3, flat.shape[1]))
         return chain, flat, f, np.empty(x.shape), prod, np.empty((2,) + x.shape)
@@ -480,7 +482,7 @@ def _linear_krylov(
             raise StepSizeUnderflow(f"step size {h:.3e} underflow at t = {t:.6g}")
         if stale:
             for j in range(2, _CHAIN):
-                f(chain[j - 1], out=chain[j])
+                f(j)
             calls += _CHAIN - 2
             np.abs(chain[0], out=abs_y)
             stale = False
@@ -522,12 +524,14 @@ def _linear_krylov(
 
 
 def liouvillian_generator(
-    params: OscillatorParams, dim: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side r -> d rho/dt for the master equation at this dimension.
+    params: OscillatorParams, chain: np.ndarray
+) -> Callable[[int], None]:
+    """The master-equation right-hand side L, bound to a chain buffer.
 
-    With H tridiagonal and a bidiagonal, each entry couples only to its
-    neighbours:
+    `chain` is a C-contiguous complex (rows, dim, dim) array, rows >= 2.
+    The returned `step(j)`, 1 <= j < rows, writes chain[j] = L chain[j-1]
+    and returns None.  With H tridiagonal and a bidiagonal, each entry couples
+    only to its neighbours:
 
         d rho_mn/dt = {-iG[m(m-1) - n(n-1)] - gamma0 (m + n)} rho_mn
                       + p sqrt(m) rho_{m-1,n} - p* sqrt(m+1) rho_{m+1,n}
@@ -537,16 +541,23 @@ def liouvillian_generator(
     where terms reaching past the truncation edge are dropped, exactly as in
     the truncated-matrix products -i[H, rho] + gamma0(2 a rho a^dag - ...).
 
-    The closure, `rhs(r)` or `rhs(r, out=buffer)` to write into a buffer,
-    works on the flattened state, flat index i = m*dim + n, where
+    The stencil works on each flattened row, flat index i = m*dim + n, where
     each neighbour is one contiguous shifted slice: rho_{m-1,n} and
     rho_{m+1,n} sit at offsets -dim and +dim, rho_{m,n+1} and rho_{m,n-1} at
     +1 and -1, and rho_{m+1,n+1} at dim+1.  Each band has one coefficient per
     output entry.  Where a +-1 or dim+1 shift would wrap into the neighbouring
     row (column n = dim-1 for +1 and dim+1, n = 0 for -1), the coefficient is
     exactly 0, so every entry receives the same nonzero terms, in the same
-    order, as a (dim, dim) slice formulation would give it.
+    order, as a (dim, dim) slice formulation would give it.  The flat input
+    and output rows and their ten shifted slices are built here once per
+    row pair, so a call only multiplies and adds.
     """
+    rows, dim = chain.shape[:2]
+    if chain.shape != (rows, dim, dim) or rows < 2 or chain.dtype != complex \
+            or not chain.flags.c_contiguous:
+        raise ValueError(
+            f"chain must be a C-contiguous complex (rows >= 2, dim, dim) array, got {chain.shape}"
+        )
     FockCutoff(dim - 1)  # rejects dim < 2 like every other basis constructor
     levels = np.arange(dim, dtype=float)
     kerr_energy = levels * (levels - 1.0)
@@ -569,23 +580,32 @@ def liouvillian_generator(
     jump = (2.0 * params.loss * np.outer(root_up, root_up)).astype(complex).ravel()
     jump = jump[: -dim - 1]  # 2 gamma0 sqrt((m+1)(n+1)) on rho_{m+1,n+1}
 
-    def rhs(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        v = r.reshape(-1)
-        # `out`, if given, is a contiguous complex array of r's size
-        res = np.multiply(diag, v, out=None if out is None else out.reshape(-1))
-        res[dim:] += above * v[:-dim]
-        res[:-dim] += below * v[dim:]
-        res[:-1] += right * v[1:]
-        res[1:] += left * v[:-1]
-        res[: -dim - 1] += jump * v[dim + 1 :]
-        return res.reshape(r.shape)
+    flat = chain.reshape(rows, -1)
+    # views[j]: row j-1 (v), row j (res), then each band's output and input slice
+    views = [()] + [
+        (v, res, res[dim:], v[:-dim], res[:-dim], v[dim:], res[:-1], v[1:],
+         res[1:], v[:-1], res[: -dim - 1], v[dim + 1 :])
+        for v, res in zip(flat[:-1], flat[1:])
+    ]
 
-    return rhs
+    def step(j: int) -> None:
+        v, res, out_a, in_a, out_b, in_b, out_r, in_r, out_l, in_l, out_jump, in_jump = views[j]
+        np.multiply(diag, v, out=res)
+        out_a += above * in_a
+        out_b += below * in_b
+        out_r += right * in_r
+        out_l += left * in_l
+        out_jump += jump * in_jump
+
+    return step
 
 
 def liouvillian_apply(rho: DensityMatrix, params: OscillatorParams) -> np.ndarray:
     """d rho/dt for the master equation; Hermitian and traceless to round-off."""
-    return liouvillian_generator(params, rho.dim)(np.array(rho.elements))
+    chain = np.empty((2, rho.dim, rho.dim), dtype=complex)
+    chain[0] = rho.elements
+    liouvillian_generator(params, chain)(1)
+    return chain[1]
 
 
 def _guarded_stream(

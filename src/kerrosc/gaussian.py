@@ -96,12 +96,21 @@ def classical_steady_amplitude(params: OscillatorParams) -> complex:
         )
     # I is scale-free, so it is found in units of the larger rate: there
     # a = gamma0/s and b = 2|G|/s, one of them 1, and no square underflows
-    # at tiny rates.  For large q the same cubic is solved for J = I / 4^j,
-    # q scaled by 8^-j and a by 4^-j (exact powers of two), so q^2 cannot
-    # overflow; j >= 0 keeps a <= 1, so the bracket below stays >= q^2.
+    # at tiny rates.  q = |p|/s is taken as mantissa ratio and exponent, so
+    # it neither rounds away nor overflows, and the same cubic is solved for
+    # J = I / 4^j, q scaled by 8^-j into [0.5, 4) and a by 4^-j (exact
+    # powers of two): q^2 stays in range.  Scaling up (j < 0) stops before a
+    # passes 1, so a <= 1 always and the bracket below stays >= q^2, which
+    # is 0 only if q^2 underflows; then a ~ 1 makes J <= 16 q^2, and
+    # I = 4^j J is below the double range.
     s = max(g0, 2.0 * abs(g))
-    j = max(math.frexp(abs(p) / s)[1] // 3, 0)
-    a, b, q = math.ldexp(g0 / s, -2 * j), 2.0 * abs(g) / s, math.ldexp(abs(p) / s, -3 * j)
+    a0 = g0 / s
+    (p_mant, p_exp), (s_mant, s_exp) = math.frexp(abs(p)), math.frexp(s)
+    mant, e = p_mant / s_mant, p_exp - s_exp
+    j = (math.frexp(mant)[1] + e) // 3
+    if j < 0 and a0 > 0.0:
+        j = max(j, min(0, -(-math.frexp(a0)[1] // 2)))
+    a, b, q = math.ldexp(a0, -2 * j), 2.0 * abs(g) / s, math.ldexp(mant, e - 3 * j)
     target = q * q
     # f(J) = (a^2 + b^2 J^2) J - q^2 is strictly increasing, and >= 0 both
     # at (q/a)^2 and at (q/b)^(2/3): the smaller one brackets the root
@@ -131,7 +140,10 @@ def classical_steady_amplitude(params: OscillatorParams) -> complex:
         for _ in range(4):
             deriv = a * a + 3.0 * (b * intensity) * (b * intensity)
             intensity -= f(intensity) / deriv
-    intensity *= 4.0**j
+    try:
+        intensity = math.ldexp(intensity, 2 * j)
+    except OverflowError:
+        intensity = math.inf
     if not math.isfinite(intensity):
         raise UnstableLinearization(
             f"the stationary intensity at pump {p}, kerr {g} and loss {g0} "

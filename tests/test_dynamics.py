@@ -3,7 +3,9 @@
 The master-equation integrator is checked against exact special cases (pure
 Kerr phases, driven-damped coherent states), the classical ODE against its
 pump-free closed form, and the linearized noise ODE against its algebraic
-fixed point.  The degree-13 Krylov step is checked for its order, stability
+fixed point.  The Liouvillian stencil, bound to a chain buffer, is checked
+against 2-d slices, dense matrix products and its own two-row application.
+The degree-13 Krylov step is checked for its order, stability
 radius, imaginary-axis bound and error weights, against its polynomial in
 dense powers of L and against exp(Lambda t) at its samples, for a step
 sequence that does not depend on the output grid, for its RHS and rejection
@@ -485,6 +487,14 @@ def dense_liouvillian(params: OscillatorParams, r: np.ndarray) -> np.ndarray:
     )
 
 
+def apply_stencil(params: OscillatorParams, r: np.ndarray) -> np.ndarray:
+    """L r from the generator bound to a two-row chain buffer holding r."""
+    chain = np.empty((2,) + r.shape, dtype=complex)
+    chain[0] = r
+    liouvillian_generator(params, chain)(1)
+    return chain[1]
+
+
 def banded_liouvillian_2d(
     params: OscillatorParams, dim: int
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -531,7 +541,7 @@ class TestFlatStencil:
     def test_bitwise_equal_to_2d_slices(self, dim, params):
         rng = np.random.default_rng(1000 + dim)
         r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        got = liouvillian_generator(params, dim)(r)
+        got = apply_stencil(params, r)
         assert np.array_equal(got, banded_liouvillian_2d(params, dim)(r))
 
     @pytest.mark.parametrize("dim", [2, 46])
@@ -539,9 +549,49 @@ class TestFlatStencil:
         rng = np.random.default_rng(dim)
         r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         before = r.copy()
-        got = liouvillian_generator(OscillatorParams(5.0, 0.2, 1.0), dim)(r)
+        got = apply_stencil(OscillatorParams(5.0, 0.2, 1.0), r)
         assert got.shape == (dim, dim)
         assert np.array_equal(r, before)
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            np.zeros((1, 4, 4), dtype=complex),
+            np.zeros((2, 4, 5), dtype=complex),
+            np.zeros((2, 4, 4)),
+            np.zeros((2, 8, 8), dtype=complex)[:, ::2, ::2],
+        ],
+        ids=["one-row", "not-square", "real", "strided"],
+    )
+    def test_rejects_a_chain_it_cannot_bind(self, chain):
+        # a strided chain would make the flat rows copies, and step(j)
+        # would write into them instead of the chain
+        with pytest.raises(ValueError, match="chain must be"):
+            liouvillian_generator(OscillatorParams(5.0, 0.2, 1.0), chain)
+
+    @pytest.mark.parametrize("state", ["d12", "d34", "ncut90-block"])
+    def test_bound_chain_equals_repeated_two_row_applications(self, state):
+        # a chain filled by step(j) through its bound views holds exactly
+        # what 14 separate two-row applications give, byte for byte
+        params = OscillatorParams(pump=5.0, kerr=0.2, loss=1.0)
+        if state == "ncut90-block":
+            rho = density_from_pure(coherent_state(3.0 * np.exp(0.4j), FockCutoff(90)))
+            d = dynamics._block_size(rho.elements.diagonal().real, 91)
+            assert d < 91
+            start = rho.elements[:d, :d]
+        else:
+            d = int(state[1:])
+            rng = np.random.default_rng(d)
+            start = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        chain = np.empty((dynamics._CHAIN, d, d), dtype=complex)
+        chain[0] = start
+        step = liouvillian_generator(params, chain)
+        for j in range(1, dynamics._CHAIN):
+            step(j)
+        ref = start
+        for j in range(1, dynamics._CHAIN):
+            ref = apply_stencil(params, ref)
+            assert chain[j].tobytes() == ref.tobytes()
 
 
 class TestBandedLiouvillian:
@@ -561,7 +611,7 @@ class TestBandedLiouvillian:
         # only up to round-off
         r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         ref = dense_liouvillian(params, r)
-        got = liouvillian_generator(params, dim)(r)
+        got = apply_stencil(params, r)
         assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
@@ -606,8 +656,8 @@ class TestAdaptiveRK:
 
 def _dense_generator(params: OscillatorParams, d: int) -> np.ndarray:
     """L at size d as a dense (d^2, d^2) matrix on the flattened rho, column by column."""
-    rhs = liouvillian_generator(params, d)
-    return np.stack([rhs(unit.reshape(d, d)).ravel() for unit in np.eye(d * d, dtype=complex)], 1)
+    units = np.eye(d * d, dtype=complex)
+    return np.stack([apply_stencil(params, unit.reshape(d, d)).ravel() for unit in units], 1)
 
 
 def _stable_radius(coeffs: np.ndarray, degrees: float) -> float:
@@ -719,13 +769,13 @@ class TestKrylovDP5:
         generator = dynamics.liouvillian_generator
         error_norm = dynamics._error_norm
 
-        def counting_generator(params, dim):
-            rhs = generator(params, dim)
+        def counting_generator(params, chain):
+            step = generator(params, chain)
 
-            def counted(r, out=None):
+            def counted(j):
                 nonlocal calls
                 calls += 1
-                return rhs(r, out=out)
+                return step(j)
 
             return counted
 

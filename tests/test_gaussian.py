@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -121,6 +122,27 @@ class TestClassicalSteadyAmplitude:
         intensity = 1.357208808297453258373e133
         assert abs(alpha) ** 2 == pytest.approx(intensity, rel=1e-14)
         assert alpha == pytest.approx(-0.5j * 1e200 / intensity, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "pump,kerr,loss",
+        [
+            (1e-200, 1.0, 0.0), (1e-300, 1.0, 0.0), (5e-324, 1.0, 0.0),
+            (1e-300, 1.0, 1e-320), (1e300, 1e-10, 0.0),
+        ],
+    )
+    def test_intensity_matches_the_cubic_where_q_leaves_the_range(self, pump, kerr, loss):
+        # q = |p| / 2|G| squares below the double range (at 5e-324 even q
+        # rounds to 0), or q itself overflows, but I, about q^(2/3), fits;
+        # held to the root of (gamma0^2 + 4 G^2 I^2) I = |p|^2 in 50-digit
+        # arithmetic, solved for u = I / q^(2/3)
+        params = OscillatorParams(pump=pump + 0.0j, kerr=kerr, loss=loss)
+        alpha = classical_steady_amplitude(params)
+        with mpmath.workdps(50):
+            scale = (mpmath.mpf(pump) / (2 * mpmath.mpf(kerr))) ** (mpmath.mpf(2) / 3)
+            k = mpmath.mpf(loss) ** 2 / (4 * mpmath.mpf(kerr) ** 2 * scale**2)
+            intensity = scale * mpmath.findroot(lambda u: k * u + u**3 - 1, 1)
+            assert math.isfinite(abs(alpha))
+            assert abs(abs(alpha) ** 2 / intensity - 1) <= 1e-12
 
 
 class TestSteadyMeanEstimate:
