@@ -56,10 +56,15 @@ blocks of `_MAP_BLOCK` times, with no integration.
 Each engine is a plain iterator of `_project`ed samples in time order, each
 with the trace drift removed since the previous one and its step counts.
 One driver, `_guarded_stream`, runs the drift, tail-mass and positivity
-guards on each in time order and hands it to a per-sample callback, keeping
-nothing itself.  An integrator output stays
-at the block that reached it, d x d on the leading levels of the declared
-basis: the guards, and whatever the callback measures, cost what the
+guards on each in time order and hands it to a per-sample callback.  It
+reads the samples ahead in stacks of `_SPECTRA_BATCH` of one block size,
+and one worker thread computes each stack's spectra, the positivity
+check's decomposition, in one stacked `eigvalsh` while the main thread
+integrates the next stack; each spectrum is bit for bit the one a
+decomposition of its own gives.  The driver holds at most two stacks, not
+one sample, so its memory does not grow with the sample count.  An
+integrator output stays at the block that reached it, d x d on the leading
+levels of the declared basis: the guards, and whatever the callback measures, cost what the
 populated levels cost, and the tail mass at the declared cutoff reads 0
 while d <= dim - 5.  `stream_evolution`, the scenario runner's entry, picks
 the engine (the exact map at pump 0) and leaves the keeping, and any
@@ -81,6 +86,9 @@ first-same-as-last derivative carry on across samples.
 from __future__ import annotations
 
 import math
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -172,6 +180,9 @@ _SHRINK_BY = 4
 # sample times per `_unpumped_map` call, so an exact run holds at most this
 # many raw states whatever its sample count
 _MAP_BLOCK = 64
+# samples per stacked `eigvalsh` of `_guarded_stream`'s read-ahead: 8 lost to
+# the hand-off latency, 16, 32 and 64 gained 15, 23 and 23% on `trajectory`
+_SPECTRA_BATCH = 32
 # a sample source: (sample, trace drift since the previous sample, (steps,
 # rejected, rhs_calls, block, resizes)) in time order
 _Samples = Iterator[tuple[np.ndarray, float, tuple[int, int, int, int, int]]]
@@ -608,6 +619,106 @@ def liouvillian_apply(rho: DensityMatrix, params: OscillatorParams) -> np.ndarra
     return chain[1]
 
 
+def _stacks(
+    samples: _Samples, count: int, dim: int | None
+) -> Iterator[tuple[np.ndarray, list, bool]]:
+    """The samples of a source in stacks of up to `_SPECTRA_BATCH` of one size.
+
+    Yields (stack, rest, last): the (n, d, d) samples, copied in (zero-padded
+    to `dim` when it is given); their (drift, counts); and whether the
+    source has nothing after them.  A resize, the end of the source or its
+    exception closes a stack early.  A stack is allocated when its first
+    sample arrives, for at most `_SPECTRA_BATCH` of the `count` samples
+    still to come.  An exception of the source is raised once the stack it
+    interrupted has been handed on, as the last.
+    """
+    stack, rest, failure = None, [], None
+    try:
+        for y, drift, counts in samples:
+            d = dim or y.shape[0]
+            if rest and (len(rest) == stack.shape[0] or d != stack.shape[1]):
+                yield stack[: len(rest)], rest, False
+                count -= len(rest)
+                stack, rest = None, []
+            if stack is None:
+                stack = np.zeros((min(_SPECTRA_BATCH, count), d, d), dtype=complex)
+            stack[len(rest), : y.shape[0], : y.shape[0]] = y
+            rest.append((drift, counts))
+    except Exception as exc:
+        failure = exc
+    if rest:
+        yield stack[: len(rest)], rest, True
+    if failure is not None:
+        raise failure
+
+
+def _spectra_worker(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """The read-ahead thread: the spectra of each stack from `jobs` onto `done`.
+
+    The exception of `eigvalsh` goes in place of its spectra; None stops the
+    thread.  It calls numpy only, never a function of this package, so a
+    tracer that wraps the package's functions sees the main thread alone.
+    """
+    while (stack := jobs.get()) is not None:
+        try:
+            spectra = np.linalg.eigvalsh(stack)
+        except Exception as exc:
+            spectra = exc
+        del stack
+        done.put(spectra)
+
+
+def _spectra_ahead(
+    stacks: Iterator[tuple[np.ndarray, list, bool]],
+) -> Iterator[tuple[np.ndarray, list, np.ndarray | None]]:
+    """Each stack of `_stacks` with its ascending spectra, in order.
+
+    The spectra of a full stack with more after it are one stacked
+    `eigvalsh` on a worker thread, started with the first such stack, while
+    the next stack is read.  Those of a stack that a resize or the end of
+    the source closed early are computed here, with nothing left to
+    overlap, so a source that fits one stack starts no thread.  At most two
+    stacks are held: the one handed on and the one whose spectra are
+    computed.  The spectra are None where `eigvalsh` raised `LinAlgError`,
+    so each sample of that stack is decomposed on its own and the first bad
+    one fails as it would alone.  The worker is joined on every exit, the
+    generator's close included.
+    """
+    jobs = done = worker = None
+    ahead = None
+    try:
+        for stack, rest, last in stacks:
+            overlap = not last and len(rest) == _SPECTRA_BATCH
+            if overlap:
+                if worker is None:
+                    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+                    worker = threading.Thread(
+                        target=_spectra_worker, args=(jobs, done), daemon=True
+                    )
+                    worker.start()
+                jobs.put(stack)
+            if ahead is not None:
+                spectra = done.get()
+                if isinstance(spectra, np.linalg.LinAlgError):
+                    spectra = None
+                elif isinstance(spectra, Exception):
+                    raise spectra
+                yield *ahead, spectra
+                ahead = None
+            if overlap:
+                ahead = stack, rest
+                continue
+            try:
+                spectra = np.linalg.eigvalsh(stack)
+            except np.linalg.LinAlgError:
+                spectra = None
+            yield stack, rest, spectra
+    finally:
+        if worker is not None:
+            jobs.put(None)
+            worker.join()
+
+
 def _guarded_stream(
     rho0: DensityMatrix,
     grid: TimeGrid,
@@ -619,58 +730,79 @@ def _guarded_stream(
 
     The one driver of every evolution: `on_sample(t, state, diagnostics)`
     sees each output in time order, and the last `StepDiagnostics` is
-    returned.  Nothing is kept here, so a caller that keeps no states runs
-    in memory independent of the sample count.  `samples` is a plain
-    iterator of (sample, drift, (steps, rejected, rhs_calls, block,
-    resizes)) in time order: a `_project` output, the |trace - 1| that
-    `_project` removed over the segment since the previous sample (for the
-    integrator, each accepted step as well as the sample), and the counts
-    of `StepDiagnostics`.  A sample is fresh and exactly Hermitian, so it
-    becomes a `DensityMatrix` on the trusted path, without a copy or a
-    Hermiticity scan.  It is a d x d array on the leading d levels of rho0's
-    basis, d <= rho0.dim; with `pad` it is zero-padded to rho0.dim before
-    the checks, otherwise it is checked and handed on at its own size, so
-    the per-sample work follows the integrated block.  At each output, in
-    time order: the drift must stay below 1e-8 per unit time
-    (else `DriftTooLarge`), the population within `_TAIL_MARGIN` entries of
-    the declared truncation edge below 1e-6 (else `CutoffExceeded`; 0 while
-    d <= dim - `_TAIL_MARGIN`), and the sample must then pass the
-    `DensityMatrix` check (else `PositivityLost`).  The t = 0 output is rho0
-    itself.
+    returned.  `samples` is a plain iterator of (sample, drift, (steps,
+    rejected, rhs_calls, block, resizes)) in time order, one per grid time
+    after 0: a `_project` output, the |trace - 1| that `_project` removed
+    over the segment since the previous sample (for the integrator, each
+    accepted step as well as the sample), and the counts of
+    `StepDiagnostics`.  A sample is a d x d array on the leading d levels of
+    rho0's basis, d <= rho0.dim; with `pad` it is zero-padded to rho0.dim
+    before the checks, otherwise it is checked and handed on at its own
+    size, so the per-sample work follows the integrated block.
+
+    The samples are read ahead in stacks of `_SPECTRA_BATCH` of one size
+    (`_stacks`), and each stack's spectra are computed by one stacked
+    `eigvalsh` on one worker thread while the next stack is integrated
+    (`_spectra_ahead`); stacked, each spectrum is bit for bit the one a
+    decomposition of its own gives.  The checks themselves run here, on
+    each sample in time order, as if nothing were read ahead: an exception
+    of the source is raised only after every earlier sample is checked and
+    handed on.  Each sample becomes a `DensityMatrix` on the trusted path
+    with its spectrum, a read-only view of its stack; nothing else is kept
+    here, so memory is bounded by two stacks, not by the sample count,
+    unless `on_sample` keeps states (a kept state keeps its stack).
+
+    At each output, in time order: the drift must stay below 1e-8 per unit
+    time (else `DriftTooLarge`), the population within `_TAIL_MARGIN`
+    entries of the declared truncation edge below 1e-6 (else
+    `CutoffExceeded`; 0 while d <= dim - `_TAIL_MARGIN`), and the sample
+    must then pass the `DensityMatrix` check (else `PositivityLost`).  The
+    t = 0 output is rho0 itself.
     """
     dim = rho0.dim
     edge = dim - min(_TAIL_MARGIN, dim - 1)
 
     def tail(y: np.ndarray) -> float:
-        # the diagonal from the declared edge on; empty for a smaller block
+        # the diagonal from the declared edge on; exactly 0 for a block
+        # that ends before it
+        if y.shape[0] <= edge:
+            return 0.0
         return float(np.sum(y.diagonal().real[edge:]))
 
     times = grid.times
     diag = StepDiagnostics(0.0, tail(rho0.elements), 0, 0, 0, 0, 0, float(rho0.spectrum[0]))
     on_sample(float(times[0]), rho0, diag)
-    for idx, (y, drift, counts) in enumerate(samples, start=1):
-        ta, tb = float(times[idx - 1]), float(times[idx])
-        budget = 1e-8 * max(1.0, tb - ta)
-        if drift > budget:
-            raise DriftTooLarge(
-                f"trace drift {drift:.3e} over [{ta:.6g}, {tb:.6g}] "
-                f"exceeds budget {budget:.3e}"
-            )
-        if pad:
-            y = leading_block(y, dim)
-        # a basis without headroom also breaks positivity, so report the
-        # tail first
-        tm = tail(y)
-        if tm > 1e-6:
-            raise CutoffExceeded(
-                f"tail mass {tm:.3e} at t = {tb:.6g} (n_cut = {dim - 1} too small)"
-            )
-        try:
-            state = DensityMatrix(y, hermitian=True)
-        except ValueError as exc:
-            raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
-        diag = StepDiagnostics(drift, tm, *counts, float(state.spectrum[0]))
-        on_sample(tb, state, diag)
+    idx = 0
+    stacks = _stacks(samples, times.shape[0] - 1, dim if pad else None)
+    with closing(_spectra_ahead(stacks)) as batches:
+        for stack, rest, spectra in batches:
+            for k, (drift, counts) in enumerate(rest):
+                idx += 1
+                ta, tb = float(times[idx - 1]), float(times[idx])
+                budget = 1e-8 * max(1.0, tb - ta)
+                if drift > budget:
+                    raise DriftTooLarge(
+                        f"trace drift {drift:.3e} over [{ta:.6g}, {tb:.6g}] "
+                        f"exceeds budget {budget:.3e}"
+                    )
+                # a basis without headroom also breaks positivity, so report
+                # the tail first
+                tm = tail(stack[k])
+                if tm > 1e-6:
+                    raise CutoffExceeded(
+                        f"tail mass {tm:.3e} at t = {tb:.6g} (n_cut = {dim - 1} too small)"
+                    )
+                try:
+                    state = DensityMatrix(
+                        stack[k], hermitian=True,
+                        eigenvalues=None if spectra is None else spectra[k],
+                    )
+                except ValueError as exc:
+                    raise PositivityLost(f"{exc} at t = {tb:.6g}") from exc
+                diag = StepDiagnostics(drift, tm, *counts, float(state.spectrum[0]))
+                on_sample(tb, state, diag)
+            # let the stack go before the next one is allocated
+            del stack, state
     return diag
 
 
@@ -827,8 +959,11 @@ def stream_evolution(
     default tolerances.  Either engine is a plain iterator of samples, read
     by `_guarded_stream`: each output passes the same guards and raises the
     same errors as there, reaches `on_sample(t, state, diagnostics)` in time
-    order, and the last `StepDiagnostics` is returned.  Memory does not grow
-    with the sample count unless `on_sample` keeps the states.
+    order, and the last `StepDiagnostics` is returned.  The spectra of the
+    positivity check are computed one stack of `_SPECTRA_BATCH` samples
+    ahead on one worker thread, so memory is bounded by two stacks, not one
+    sample; it does not grow with the sample count unless `on_sample` keeps
+    the states, and a kept state keeps its stack.
 
     The t = 0 output is rho0 itself.  Every later state is the integrated
     block: `state.dim` is `diagnostics.block`, rho on the leading levels of

@@ -136,14 +136,18 @@ class DensityMatrix:
     exactly Hermitian complex array that nothing else will write, as the
     evolution guards' projected samples are: el is kept as it is, without
     the copy and the Hermiticity scan, and passes the same trace and
-    eigenvalue checks with the same messages.
+    eigenvalue checks with the same messages.  On that path `eigenvalues`
+    may bring el's ascending spectrum, as `np.linalg.eigvalsh` gives it,
+    computed by the caller; it is then checked and kept in place of a
+    decomposition of its own.
     """
 
     elements: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
     hermitian: InitVar[bool] = False
+    eigenvalues: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, hermitian: bool) -> None:
+    def __post_init__(self, hermitian: bool, eigenvalues: np.ndarray | None) -> None:
         el = self.elements if hermitian else np.array(self.elements, dtype=complex, copy=True)
         if el.ndim != 2 or el.shape[0] != el.shape[1] or el.shape[0] < 2:
             raise ValueError("elements must be a square matrix of dimension >= 2")
@@ -157,7 +161,7 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
         # an exactly Hermitian input, as every projected sample is, is its
         # own symmetrization
-        spectrum = hermitian_eigh(
+        spectrum = eigenvalues if eigenvalues is not None else hermitian_eigh(
             el if herm == 0.0 else 0.5 * (el + el.conj().T), values_only=True
         )
         w_min = float(spectrum[0])

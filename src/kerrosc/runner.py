@@ -416,6 +416,8 @@ def _consume_evolution(
     if any(isinstance(s, QuasiGridOutput) and s.target == "snapshots" for s in specs):
         wanted = set(_snapshot_times(config))
 
+    t_final = float(grid.times[-1])
+
     def on_sample(t: float, state: DensityMatrix, diag: StepDiagnostics) -> None:
         if kept.timeseries is not None or kept.mean_a is not None:
             mom = moments(state)
@@ -432,7 +434,9 @@ def _consume_evolution(
                 state if state.dim == psi0.dim
                 else DensityMatrix(leading_block(state.elements, psi0.dim))
             )
-        kept.final = state
+        # only the last state: a state keeps its read-ahead stack alive
+        if t == t_final:
+            kept.final = state
 
     try:
         last = stream_evolution(density_from_pure(psi0), config.params, grid, on_sample)

@@ -4,11 +4,15 @@
 states at snapshot times.  Its files must equal those built from the
 materialized `evolve` / `unpumped_evolve` trajectory, its memory must not
 grow with the sample count, and the exact map's sample blocks must not move
-a bit.
+a bit.  The guards read the samples ahead in stacks, and must still check
+them in time order, leave no thread running and keep every spectrum bit for
+bit.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -18,14 +22,24 @@ import pytest
 from kerrosc.config import ScenarioConfig, validate_config
 from kerrosc.dynamics import (
     _MAP_BLOCK,
+    _SPECTRA_BATCH,
     TimeGrid,
+    _guarded_stream,
+    _project,
     _unpumped_map,
     evolve,
     linearized_noise_path,
     stream_evolution,
     unpumped_evolve,
 )
-from kerrosc.errors import PumpNotZero, SupportMismatch
+from kerrosc.errors import (
+    DriftTooLarge,
+    EigSolverFailure,
+    PositivityLost,
+    PumpNotZero,
+    StepSizeUnderflow,
+    SupportMismatch,
+)
 from kerrosc.fock import (
     FockCutoff,
     OscillatorParams,
@@ -211,6 +225,175 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < states_bytes / 4
+
+
+    def test_stream_peak_does_not_grow_with_the_sample_count(self):
+        # the read-ahead holds two stacks of `_SPECTRA_BATCH` samples; ten
+        # times the samples may add less than two stacks at the largest block
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+        peaks = []
+        for samples in (201, 2001):
+            tracemalloc.start()
+            try:
+                stream_evolution(rho0, params, TimeGrid.uniform(0.5, samples),
+                                 lambda t, state, diag: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * _SPECTRA_BATCH * 46 * 46 * 16
+
+
+class TestReadAhead:
+    """The guards read samples ahead in stacks, yet check them in time order.
+
+    Each source below is a plain iterator of the projected leading 20 x 20
+    block of |alpha=1> at n_cut 45, `count` samples long (three stacks and
+    more), with one sample replaced or the source failing part way.
+    """
+
+    count = 3 * _SPECTRA_BATCH + 5
+    rho0 = density_from_pure(coherent_state(1.0, FockCutoff(45)))
+    # sample i at t = i
+    grid = TimeGrid.uniform(float(count), count + 1)
+
+    def good(self, d=20):
+        return _project(np.array(self.rho0.elements[:d, :d]))[0]
+
+    def below_floor(self):
+        # unit trace and no tail mass, with one eigenvalue at -1e-6
+        bad = np.zeros((20, 20), dtype=complex)
+        bad[0, 0], bad[1, 1] = 1.0 + 1e-6, -1e-6
+        return _project(bad)[0]
+
+    def source(self, at=None, sample=None, drift=0.0, fail_at=None):
+        good = self.good()
+        for i in range(1, self.count + 1):
+            if i == fail_at:
+                raise StepSizeUnderflow(f"step size underflow before sample {i}")
+            y, d = (sample, drift) if i == at else (good, 0.0)
+            yield y, d, (i, 0, 0, 20, 0)
+
+    def run(self, samples, seen, on_sample=None):
+        def keep(t, state, diag):
+            seen.append(t)
+            if on_sample is not None:
+                on_sample(t, state, diag)
+
+        return _guarded_stream(self.rho0, self.grid, samples, keep)
+
+    def test_a_guard_failure_precedes_a_later_source_failure(self):
+        # sample 40 breaks the drift budget; the source fails more than a
+        # stack later, after both were read
+        at = _SPECTRA_BATCH + 8
+        seen = []
+        samples = self.source(at=at, sample=self.good(), drift=1.0,
+                              fail_at=at + _SPECTRA_BATCH + 8)
+        with pytest.raises(DriftTooLarge, match=rf"over \[{at - 1}, {at}\]"):
+            self.run(samples, seen)
+        assert seen == [float(t) for t in self.grid.times[:at]]
+
+    def test_a_source_failure_waits_for_every_earlier_sample(self):
+        fail_at = 2 * _SPECTRA_BATCH + 16
+        seen = []
+        with pytest.raises(StepSizeUnderflow, match=f"before sample {fail_at}$"):
+            self.run(self.source(fail_at=fail_at), seen)
+        assert seen == [float(t) for t in self.grid.times[:fail_at]]
+
+    @pytest.mark.parametrize("entry, error, message", [
+        ((3, 3), PositivityLost, r"^trace \(nan\+0j\) deviates from 1 beyond 1e-09 at t = 45$"),
+        ((2, 5), EigSolverFailure, r"^Eigenvalues did not converge$"),
+    ])
+    def test_a_nan_sample_fails_at_its_own_time(self, entry, error, message):
+        # mid-stack: its stacked `eigvalsh` fails, and each sample of the
+        # stack is then checked on its own, as without read-ahead; a NaN off
+        # the diagonal fails the decomposition itself
+        at = _SPECTRA_BATCH + 13
+        bad = self.good()
+        bad[entry] = bad[entry[::-1]] = np.nan
+        seen = []
+        with pytest.raises(error, match=message):
+            self.run(self.source(at=at, sample=bad), seen)
+        assert seen == [float(t) for t in self.grid.times[:at]]
+
+    def test_a_sample_below_the_floor_fails_mid_stack(self):
+        # the eigenvalue check fires, with the message of a decomposition of
+        # its own
+        at = _SPECTRA_BATCH + 17
+        seen = []
+        with pytest.raises(PositivityLost) as info:
+            self.run(self.source(at=at, sample=self.below_floor()), seen)
+        assert str(info.value) == "minimum eigenvalue -1.000e-06 below -1e-09 at t = 49"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert seen == [float(t) for t in self.grid.times[:at]]
+
+    def test_no_thread_outlives_a_stream(self):
+        at = _SPECTRA_BATCH + 3
+
+        def interrupt(t, state, diag):
+            if t == self.grid.times[at]:
+                raise RuntimeError("stop")
+
+        before = threading.active_count()
+        cases = [
+            (self.source(), None, None),
+            (self.source(at=at, sample=self.good(), drift=1.0), None, DriftTooLarge),
+            (self.source(at=at, sample=self.below_floor()), None, PositivityLost),
+            (self.source(fail_at=at), None, StepSizeUnderflow),
+            (self.source(), interrupt, RuntimeError),
+        ]
+        for samples, on_sample, error in cases:
+            threads = []
+
+            def watch(t, state, diag, on_sample=on_sample):
+                threads.append(threading.active_count())
+                if on_sample is not None:
+                    on_sample(t, state, diag)
+
+            if error is None:
+                self.run(samples, [], watch)
+            else:
+                with pytest.raises(error):
+                    self.run(samples, [], watch)
+            # the worker ran: each stream was read past its first stack
+            assert max(threads) == before + 1
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("resizing", [False, True])
+    def test_a_stream_within_one_stack_starts_no_thread(self, resizing):
+        # resizing: the block alternates between 20 and 24 levels, so each
+        # sample closes a stack early
+        good = self.good()
+        other = self.good(24) if resizing else good
+        samples = ((other if i % 2 else good, 0.0, (i, 0, 0, 20, 0))
+                   for i in range(1, _SPECTRA_BATCH + 1))
+        before = threading.active_count()
+        counts = []
+        _guarded_stream(self.rho0, TimeGrid.uniform(1.0, _SPECTRA_BATCH + 1), samples,
+                        lambda t, state, diag: counts.append((state.dim, threading.active_count())))
+        assert len(counts) == _SPECTRA_BATCH + 1
+        assert {n for _, n in counts} == {before}
+        assert counts[-1][0] == 20 and counts[-2][0] == (24 if resizing else 20)
+
+    def test_min_eigenvalues_are_those_of_a_decomposition_alone(self):
+        # with the interpreter switching threads every 10 us, so the worker
+        # and the main thread interleave as finely as they can
+        rho0 = density_from_pure(coherent_state(3.0, FockCutoff(45)))
+        params = OscillatorParams(pump=5.0 + 0.0j, kerr=0.2, loss=1.0)
+        mismatched = []
+
+        def check(t, state, diag):
+            alone = np.linalg.eigvalsh(np.array(state.elements))
+            if not (diag.min_eigenvalue == alone[0] and np.array_equal(state.spectrum, alone)):
+                mismatched.append(t)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            last = stream_evolution(rho0, params, TimeGrid.uniform(2.0, 2001), check)
+        finally:
+            sys.setswitchinterval(interval)
+        assert last.resizes > 0 and mismatched == []
 
 
 class TestBlockOutputs:
